@@ -32,9 +32,7 @@ from .engine import (
     cluster,
     initial_proximity,
     linkage_from_name,
-    linkage_update,
     policy_from_name,
-    select_merges,
 )
 from .errors import (
     ConfigError,
@@ -123,7 +121,6 @@ __all__ = [
     "jaccard",
     "label_clusters",
     "linkage_from_name",
-    "linkage_update",
     "manhattan",
     "metric_from_name",
     "parse_components",
@@ -133,7 +130,6 @@ __all__ = [
     "render_ascii",
     "render_dot",
     "run",
-    "select_merges",
     "simple_matching",
     "to_structured",
     "write_text_atomic",

@@ -110,23 +110,13 @@ def cut_k(d: Dendrogram, k: int) -> Partition:
     return _as_groups(d, groups)
 
 
-def _subtree_max_key(d: Dendrogram, node_id: int) -> ExactDissimilarity | None:
-    best: ExactDissimilarity | None = None
-    stack = [node_id]
-    while stack:
-        node = d.nodes[stack.pop()]
-        if node.height is not None and (best is None or best.key < node.height.key):
-            best = node.height
-        stack.extend(node.children)
-    return best
-
-
 def cut_height(d: Dendrogram, h) -> Partition:
     """Maximal subtrees whose merge heights are all <= h.
 
     ``h`` is in display units (the dissimilarity itself, not its rounded
     form) and is compared exactly; pass a string like "1.5" for an exact
-    decimal threshold.
+    decimal threshold.  Merge heights never fall going up the tree (the
+    engine enforces it), so a node's own height is its subtree's maximum.
     """
     try:
         threshold = Fraction(h)
@@ -139,8 +129,7 @@ def cut_height(d: Dendrogram, h) -> Partition:
     while stack:
         nid = stack.pop()
         node = d.nodes[nid]
-        top = _subtree_max_key(d, nid)
-        if node.is_leaf or top is None or top.within_height(threshold):
+        if node.is_leaf or node.height.within_height(threshold):
             groups.append(nid)
         else:
             stack.extend(node.children)

@@ -62,3 +62,48 @@ def single_linkage_steps(rows, metric_name="euclidean"):
         steps.append((key, (i, j), merged))
         next_id += 1
     return steps
+
+
+def paper_rounds(rows, metric_name="euclidean"):
+    """Brute-force round-based single linkage (the paper policy).
+
+    Every round recomputes all cluster distances from member pairs.  At a
+    zero minimum, each connected component of the zero-distance graph merges
+    as one cluster; otherwise disjoint minimum pairs are taken greedily in
+    ascending (i, j) id order.  Groups are ordered by smallest member id,
+    members ascend, and merged clusters take fresh ascending ids.  Returns a
+    list of (key, [(member_ids, new_id), ...]) rounds.
+    """
+    pairwise = [[pair_key(metric_name, a, b) for b in rows] for a in rows]
+    clusters = {i: frozenset((i,)) for i in range(len(rows))}
+    next_id = len(rows)
+    rounds = []
+    while len(clusters) > 1:
+        ids = sorted(clusters)
+        keys = {
+            (i, j): min(pairwise[p][q] for p in clusters[i] for q in clusters[j])
+            for x, i in enumerate(ids) for j in ids[x + 1:]
+        }
+        low = min(keys.values())
+        if low == 0:
+            component = {i: {i} for i in ids}
+            for (i, j), key in keys.items():
+                if key == 0 and component[i] is not component[j]:
+                    joined = component[i] | component[j]
+                    for member in joined:
+                        component[member] = joined
+            groups = sorted({tuple(sorted(c)) for c in component.values() if len(c) > 1})
+        else:
+            taken = set()
+            groups = []
+            for (i, j), key in keys.items():
+                if key == low and i not in taken and j not in taken:
+                    groups.append((i, j))
+                    taken.update((i, j))
+        merges = []
+        for group in groups:
+            clusters[next_id] = frozenset().union(*(clusters.pop(i) for i in group))
+            merges.append((group, next_id))
+            next_id += 1
+        rounds.append((low, merges))
+    return rounds

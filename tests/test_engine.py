@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from objident import (
-    ClusterId,
     Linkage,
     MergePolicy,
     Metric,
@@ -14,10 +13,9 @@ from objident import (
     cut_k,
     initial_proximity,
     linkage_from_name,
-    linkage_update,
     policy_from_name,
-    select_merges,
 )
+from objident import engine
 from objident.features import (
     ComponentRecord,
     Relation,
@@ -77,11 +75,11 @@ def test_initial_proximity_needs_two_rows():
         initial_proximity(make_pattern([(0, 1)]), Metric.EUCLIDEAN)
 
 
-def test_select_merges_zero_closure_round(stacks):
-    prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
-    groups, min_key = select_merges(prox, MergePolicy.PAPER_REPRO)
-    assert min_key.key == 0
-    assert [[c.label for c in g] for g in groups] == [
+def test_paper_zero_closure_round(stacks):
+    first = cluster(stacks.pattern, Metric.EUCLIDEAN,
+                    policy=MergePolicy.PAPER_REPRO).trace[0]
+    assert first.min_key.key == 0
+    assert [[c.label for c in m.constituents] for m in first.merges] == [
         ["isEmptyRef", "rPush", "rPop"],
         ["isEmptyExec", "ePush", "ePop"],
     ]
@@ -98,54 +96,25 @@ def test_select_merges_second_round_pairs(stacks):
     ]
 
 
-def test_select_merges_unique_minimum_both_policies():
+def test_unique_minimum_both_policies():
     pattern = make_pattern([(0, 0, 0), (0, 0, 1), (1, 1, 1)])
-    prox = initial_proximity(pattern, Metric.EUCLIDEAN)
     for policy in MergePolicy:
-        groups, min_key = select_merges(prox, policy)
-        assert [[c.label for c in g] for g in groups] == [["f0", "f1"]]
-        assert min_key.key == 1
+        first = cluster(pattern, Metric.EUCLIDEAN, policy=policy).trace[0]
+        assert [[c.label for c in m.constituents] for m in first.merges] == [["f0", "f1"]]
+        assert first.min_key.key == 1
 
 
-def test_select_merges_needs_two_clusters(stacks):
-    dend, trace = cluster(stacks.pattern, Metric.EUCLIDEAN,
-                          policy=MergePolicy.PAPER_REPRO)
-    with pytest.raises(ValidationError):
-        select_merges(trace[-1].matrix_after, MergePolicy.SEQUENTIAL)
-
-
-def test_linkage_update_examples(stacks):
-    prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
-    ids = {c.label: c for c in prox.active}
-    group = [ids["isEmptyRef"], ids["rPush"], ids["rPop"]]
-    prox = linkage_update(prox, group, ClusterId(10, "C1"))
-    assert by_label(prox, "C1", "initRef").display == "1.41"
-    assert by_label(prox, "C1", "traRef").display == "1.00"
+def test_single_linkage_minimum_rule_examples(stacks):
+    first = cluster(stacks.pattern, Metric.EUCLIDEAN,
+                    policy=MergePolicy.PAPER_REPRO).trace[0]
+    assert by_label(first.matrix_after, "C1", "initRef").display == "1.41"
+    assert by_label(first.matrix_after, "C1", "traRef").display == "1.00"
 
 
 def test_linkage_update_between_merged_clusters(stacks):
     dend, trace = cluster(stacks.pattern, Metric.EUCLIDEAN,
                           policy=MergePolicy.PAPER_REPRO)
     assert by_label(trace[1].matrix_after, "C3", "C4").display == "2.00"
-
-
-def test_linkage_update_rejects_inactive_member(stacks):
-    prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
-    ghost = ClusterId(99, "ghost")
-    with pytest.raises(ValidationError, match="not active"):
-        linkage_update(prox, [prox.active[0], ghost], ClusterId(100, "C1"))
-
-
-def test_linkage_update_rejects_stale_id(stacks):
-    prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
-    with pytest.raises(ValidationError, match="not fresh"):
-        linkage_update(prox, list(prox.active[:2]), ClusterId(3, "C1"))
-
-
-def test_linkage_update_rejects_singleton_group(stacks):
-    prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
-    with pytest.raises(ValidationError):
-        linkage_update(prox, [prox.active[0]], ClusterId(10, "C1"))
 
 
 def test_cluster_reproduction_trace(stacks):
@@ -230,6 +199,44 @@ def test_cells_match_brute_force_on_random_matrices():
                     assert cell.key == expected
 
 
+def oracle_rounds(rows, metric_name, policy):
+    """The oracle's rounds as (key, [(member_ids, new_id), ...]) lists."""
+    if policy is MergePolicy.PAPER_REPRO:
+        return oracle.paper_rounds(rows, metric_name)
+    n = len(rows)
+    return [(key, [(pair, n + step)]) for step, (key, pair, _) in
+            enumerate(oracle.single_linkage_steps(rows, metric_name))]
+
+
+def test_tie_order_and_snapshots_match_oracle_both_policies():
+    # Few columns make ties and copies common, so the id-order tie rules
+    # decide most merges.
+    rng = random.Random(20261018)
+    metrics = list(Metric)
+    for case in range(320):
+        rows = random_rows(rng, n=rng.randint(2, 9), t=rng.randint(1, 4))
+        metric = metrics[case % len(metrics)]
+        name = METRIC_NAMES[metric]
+        pattern = make_pattern(rows)
+        for policy in MergePolicy:
+            expected = oracle_rounds(rows, name, policy)
+            trace = cluster(pattern, metric, policy=policy).trace
+            assert [
+                (r.min_key.key,
+                 [(tuple(c.id for c in m.constituents), m.new.id) for m in r.merges])
+                for r in trace
+            ] == expected
+            members = {i: frozenset((i,)) for i in range(len(rows))}
+            for merge_round, (_, merges) in zip(trace, expected):
+                for group, new in merges:
+                    members[new] = frozenset().union(*(members.pop(i) for i in group))
+                prox = merge_round.matrix_after
+                assert [c.id for c in prox.active] == sorted(members)
+                for a, b, cell in prox.pairs():
+                    assert cell.key == oracle.group_key(
+                        name, rows, members[a.id], members[b.id])
+
+
 def test_euclidean_manhattan_identical_traces():
     rng = random.Random(99)
     for _ in range(40):
@@ -277,6 +284,15 @@ def test_permutation_invariance_with_unique_minima():
         assert hierarchy == reference
     assert frozenset({"a", "b"}) in reference
     assert frozenset({"a", "b", "c"}) in reference
+
+
+def test_merge_below_its_parts_is_rejected():
+    # Single linkage never does this; the guard keeps cut_height's use of a
+    # node's own height as its subtree's maximum sound.
+    table = engine._ClusterTable(make_pattern([(0, 0), (0, 1), (1, 1)]), Metric.EUCLIDEAN)
+    first = table.merge((0, 2), 2, 1)
+    with pytest.raises(ValidationError, match="below"):
+        table.merge((1, first.id), 1, 2)
 
 
 def test_cluster_rejects_non_single_linkage(stacks):
