@@ -10,30 +10,9 @@ object together with the subject type it predominantly serves.
 
 __version__ = "0.1.0"
 
-from .dendrogram import (
-    Dendrogram,
-    DendroNode,
-    Partition,
-    PartitionGroup,
-    cut_height,
-    cut_k,
-    render_ascii,
-    render_dot,
-    to_structured,
-)
-from .engine import (
-    ClusterId,
-    ClusterResult,
-    Linkage,
-    Merge,
-    MergePolicy,
-    MergeRound,
-    ProximityMatrix,
-    cluster,
-    initial_proximity,
-    linkage_from_name,
-    policy_from_name,
-)
+from .declarations import parse_declarations
+from .dendrogram import cut_height, cut_k, render_ascii, render_dot, to_structured
+from .engine import MergePolicy, cluster, initial_proximity, policy_from_name
 from .errors import (
     ConfigError,
     InputOutputError,
@@ -41,70 +20,26 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .declarations import parse_declarations
-from .features import (
-    ComponentRecord,
-    PatternMatrix,
-    Relation,
-    RelationKind,
-    RelationSchema,
-    build_pattern_matrix,
-    derive_relations,
-)
+from .features import ComponentRecord, build_pattern_matrix, derive_relations
 from .ingest import (
-    DendrogramFormat,
-    InputKind,
-    RunConfig,
     canonical_json,
     components_document,
-    execute,
     parse_components,
     parse_cut_spec,
-    run,
     write_text_atomic,
 )
-from .metrics import (
-    ExactDissimilarity,
-    Metric,
-    distance,
-    euclidean,
-    hamming,
-    jaccard,
-    manhattan,
-    metric_from_name,
-    simple_matching,
-)
-from .report import CandidateObjectReport, ClusterAttribution, label_clusters
+from .metrics import Metric, distance, metric_from_name
+from .report import label_clusters
 
 __all__ = [
     "__version__",
-    "CandidateObjectReport",
-    "ClusterAttribution",
-    "ClusterId",
-    "ClusterResult",
     "ComponentRecord",
     "ConfigError",
-    "Dendrogram",
-    "DendroNode",
-    "DendrogramFormat",
-    "ExactDissimilarity",
-    "InputKind",
     "InputOutputError",
-    "Linkage",
-    "Merge",
     "MergePolicy",
-    "MergeRound",
     "Metric",
     "ObjidentError",
     "ParseError",
-    "Partition",
-    "PartitionGroup",
-    "PatternMatrix",
-    "ProximityMatrix",
-    "Relation",
-    "RelationKind",
-    "RelationSchema",
-    "RunConfig",
     "ValidationError",
     "build_pattern_matrix",
     "canonical_json",
@@ -114,14 +49,8 @@ __all__ = [
     "cut_k",
     "derive_relations",
     "distance",
-    "euclidean",
-    "execute",
-    "hamming",
     "initial_proximity",
-    "jaccard",
     "label_clusters",
-    "linkage_from_name",
-    "manhattan",
     "metric_from_name",
     "parse_components",
     "parse_cut_spec",
@@ -129,8 +58,6 @@ __all__ = [
     "policy_from_name",
     "render_ascii",
     "render_dot",
-    "run",
-    "simple_matching",
     "to_structured",
     "write_text_atomic",
 ]

@@ -9,18 +9,17 @@ from pathlib import Path
 
 from . import __version__
 from .declarations import parse_declarations
-from .engine import linkage_from_name, policy_from_name
-from .errors import ConfigError, ObjidentError, ValidationError
+from .engine import policy_from_name
+from .errors import ConfigError, ObjidentError
 from .ingest import (
-    EXIT_CODES,
     DendrogramFormat,
     InputKind,
     RunConfig,
     canonical_json,
     components_document,
+    execute,
     parse_cut_spec,
     read_text,
-    run,
     write_text_atomic,
 )
 from .metrics import metric_from_name
@@ -68,38 +67,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_value(resolve, raw: str):
-    # Bad flag values are configuration mistakes, not data problems.
-    try:
-        return resolve(raw)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
-            config = RunConfig(
+            metric = metric_from_name(args.metric)
+            policy = policy_from_name(args.policy)
+            if args.linkage.lower() != "single":
+                raise ConfigError(
+                    f"unknown linkage {args.linkage!r} (only 'single' is implemented)")
+            execute(RunConfig(
                 input_path=args.input,
                 input_kind=InputKind(args.kind),
-                metric=_flag_value(metric_from_name, args.metric),
-                policy=_flag_value(policy_from_name, args.policy),
-                linkage=_flag_value(linkage_from_name, args.linkage),
+                metric=metric,
+                policy=policy,
                 cut=parse_cut_spec(args.cut) if args.cut is not None else None,
                 trace_path=args.trace,
                 dendrogram_path=args.dendrogram,
                 dendrogram_format=DendrogramFormat(args.dendrogram_format),
                 report_path=args.report,
-            )
-            return run(config)
-        subjects, records = parse_declarations(read_text(args.decls))
-        write_text_atomic(args.out,
-                          canonical_json(components_document(subjects, records)))
-        return 0
+            ))
+        else:
+            subjects, records = parse_declarations(read_text(args.decls))
+            write_text_atomic(args.out,
+                              canonical_json(components_document(subjects, records)))
     except ObjidentError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.category, 1)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

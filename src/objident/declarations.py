@@ -105,7 +105,8 @@ class _LineParser:
             self.pos += 1
         return struct_name
 
-    def parse_proto(self) -> ComponentRecord:
+    def parse_proto(self) -> tuple[ComponentRecord, list[_Token]]:
+        """The line's record, plus its ``! uses:`` name tokens."""
         returns = self.parse_type()
         name = self.take_ident("function name")
         self.take_punct("(")
@@ -119,7 +120,7 @@ class _LineParser:
                     continue
                 break
         self.take_punct(")")
-        uses: list[str] = []
+        uses: list[_Token] = []
         if self.at_punct("!"):
             self.pos += 1
             keyword = self.take_ident("'uses'")
@@ -128,18 +129,20 @@ class _LineParser:
                 raise ParseError(f"expected 'uses', found {keyword!r}",
                                  line=self.line_no, column=token.column)
             self.take_punct(":")
-            uses.append(self.take_ident("subject type name"))
+            self.take_ident("subject type name")
+            uses.append(self.tokens[self.pos - 1])
             while self.at_punct(","):
                 self.pos += 1
-                uses.append(self.take_ident("subject type name"))
+                self.take_ident("subject type name")
+                uses.append(self.tokens[self.pos - 1])
         if self.peek() is not None:
             self.fail("end of line")
         return ComponentRecord(
             name=name,
             returns=None if returns == "void" else returns,
             args=tuple(args),
-            uses_fields=frozenset(uses),
-        )
+            uses_fields=frozenset(t.text for t in uses),
+        ), uses
 
 
 def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord, ...]]:
@@ -147,10 +150,11 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
 
     Returns the declared (or inferred) subject-type order and one record per
     prototype line, in file order.  Errors carry the offending line and
-    column.
+    column; a ``! uses:`` name outside the subject types is one of them.
     """
     records: list[ComponentRecord] = []
     record_lines: dict[str, int] = {}
+    uses_names: list[tuple[int, _Token]] = []
     directive_types: list[str] | None = None
     appearances: list[str] = []
 
@@ -183,7 +187,8 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
                                  line=line_no, column=tokens[0].column)
             directive_types = names
             continue
-        record = _LineParser(tokens, line_no, len(line)).parse_proto()
+        record, uses = _LineParser(tokens, line_no, len(line)).parse_proto()
+        uses_names.extend((line_no, token) for token in uses)
         if record.name in record_lines:
             raise ParseError(
                 f"duplicate function name {record.name!r} "
@@ -194,4 +199,9 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
         records.append(record)
 
     subjects = tuple(directive_types) if directive_types is not None else tuple(appearances)
+    declared = set(subjects)
+    for line_no, token in uses_names:
+        if token.text not in declared:
+            raise ParseError(f"unknown subject type {token.text!r} in '! uses:'",
+                             line=line_no, column=token.column)
     return subjects, tuple(records)

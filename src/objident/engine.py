@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .dendrogram import DendroNode, Dendrogram
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .features import PatternMatrix
 from .metrics import ExactDissimilarity, Metric, distance
 
@@ -42,23 +42,13 @@ class MergePolicy(enum.Enum):
     PAPER_REPRO = "paper"
 
 
-class Linkage(enum.Enum):
-    SINGLE = "single"
-
-
 def policy_from_name(name: str) -> MergePolicy:
+    """Resolve a CLI/config policy name (case-insensitive)."""
     try:
         return MergePolicy(name.lower())
     except ValueError:
         valid = ", ".join(p.value for p in MergePolicy)
-        raise ValidationError(f"unknown policy {name!r} (expected one of: {valid})") from None
-
-
-def linkage_from_name(name: str) -> Linkage:
-    try:
-        return Linkage(name.lower())
-    except ValueError:
-        raise ValidationError(f"unknown linkage {name!r} (only 'single' is implemented)") from None
+        raise ConfigError(f"unknown policy {name!r} (expected one of: {valid})") from None
 
 
 @dataclass(frozen=True)
@@ -305,7 +295,6 @@ def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
 
 
 def cluster(pattern: PatternMatrix, metric: Metric,
-            linkage: Linkage = Linkage.SINGLE,
             policy: MergePolicy = MergePolicy.SEQUENTIAL) -> ClusterResult:
     """Run the full agglomeration and return the merge tree plus round trace.
 
@@ -315,8 +304,6 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     needs O(n^2) time and memory for n pattern rows; reading every round's
     matrix costs O(n^3) for the sequential policy.
     """
-    if linkage is not Linkage.SINGLE:
-        raise ValidationError("only single linkage is implemented")
     table = _ClusterTable(pattern, metric)
     rows, active = table.rows, table.active
     n = pattern.n_rows

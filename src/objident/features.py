@@ -114,9 +114,6 @@ class PatternMatrix:
     def n_cols(self) -> int:
         return len(self.schema.relations)
 
-    def row(self, label: str) -> tuple[int, ...]:
-        return self.rows[self.row_labels.index(label)]
-
 
 def _holds(record: ComponentRecord, relation: Relation) -> bool:
     if relation.kind is RelationKind.RETURNS:

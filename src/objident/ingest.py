@@ -2,14 +2,16 @@
 
 Defines the components document (JSON with ``subject_types`` and
 ``components`` keys), the canonical JSON writer used for every structured
-output, and ``run``, which drives parse -> relation schema -> pattern
+output, and ``execute``, which drives parse -> relation schema -> pattern
 matrix -> clustering -> optional cut and report, writing all requested
-outputs atomically (write to a temp file, then rename).
+outputs atomically (every output to a temp file first, then all renamed).
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import errno
 import json
 import os
 import sys
@@ -17,17 +19,15 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import dendrogram as dendro
 from .declarations import parse_declarations
-from .engine import Linkage, MergePolicy, cluster
-from .errors import ConfigError, InputOutputError, ObjidentError, ParseError
+from .engine import MergePolicy, cluster
+from .errors import ConfigError, InputOutputError, ParseError
 from .features import ComponentRecord, build_pattern_matrix, derive_relations
 from .metrics import Metric
 from .report import label_clusters
-
-EXIT_CODES = {"internal": 1, "config": 2, "parse": 3, "validation": 4, "io": 5}
 
 
 def canonical_json(doc) -> str:
@@ -136,25 +136,40 @@ def read_text(path: Path | str) -> str:
         raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file plus rename, so failures leave no
-    partial output behind."""
-    path = Path(path)
+def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
+    """Write each (path, text) pair to a sibling temp file, then rename them
+    all.  Nothing is renamed until every write has succeeded, and a failure
+    removes every temp file, so a failed call leaves no output behind.  A
+    target that is a directory, which would fail only at its rename, is
+    refused before anything is written."""
+    staged: list[tuple[str, Path]] = []
+    path = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            for path, text in outputs:
+                path = Path(path)
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+                staged.append((tmp, path))
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            for tmp, path in staged:
+                os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            for tmp, _ in staged:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
             raise
     except OSError as exc:
         raise InputOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_text_atomic(path: Path | str, text: str) -> None:
+    """Write one file via a sibling temp file plus rename, so a failure
+    leaves no partial output behind."""
+    write_texts_atomic([(path, text)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +214,6 @@ class RunConfig:
     input_kind: InputKind
     metric: Metric = Metric.EUCLIDEAN
     policy: MergePolicy = MergePolicy.SEQUENTIAL
-    linkage: Linkage = Linkage.SINGLE
     cut: tuple[str, int | Fraction] | None = None
     trace_path: Path | None = None
     dendrogram_path: Path | None = None
@@ -215,7 +229,7 @@ def _summary_lines(config: RunConfig, pattern, trace, partition, report) -> list
     lines = [
         f"components: {pattern.n_rows}, relations: {pattern.n_cols}, "
         f"metric: {config.metric.value}, policy: {config.policy.value}, "
-        f"linkage: {config.linkage.value}"
+        "linkage: single"
     ]
     for merge_round in trace:
         merges = "; ".join(
@@ -239,7 +253,8 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     """Run the pipeline, writing outputs and a stdout summary.
 
     Raises ObjidentError subclasses on any failure; output files are
-    written atomically and only after all computation has succeeded.
+    written only after all computation has succeeded, and together: none
+    appears unless all of them could be written.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -255,7 +270,7 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
 
     schema = derive_relations(subjects)
     pattern = build_pattern_matrix(records, schema)
-    dend, trace = cluster(pattern, config.metric, config.linkage, config.policy)
+    dend, trace = cluster(pattern, config.metric, config.policy)
 
     partition = None
     report = None
@@ -273,28 +288,20 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         structured = canonical_json(dendro.to_structured(
             dend, trace, schema=schema, pattern=pattern, report=report))
 
+    outputs = []
     if config.trace_path is not None:
-        write_text_atomic(config.trace_path, structured)
+        outputs.append((config.trace_path, structured))
     if config.dendrogram_path is not None:
         if config.dendrogram_format is DendrogramFormat.ASCII:
-            write_text_atomic(config.dendrogram_path, dendro.render_ascii(dend))
+            outputs.append((config.dendrogram_path, dendro.render_ascii(dend)))
         elif config.dendrogram_format is DendrogramFormat.DOT:
-            write_text_atomic(config.dendrogram_path, dendro.render_dot(dend))
+            outputs.append((config.dendrogram_path, dendro.render_dot(dend)))
         else:
-            write_text_atomic(config.dendrogram_path, structured)
+            outputs.append((config.dendrogram_path, structured))
     if config.report_path is not None:
-        write_text_atomic(config.report_path, canonical_json(report.to_doc()))
+        outputs.append((config.report_path, canonical_json(report.to_doc())))
+    write_texts_atomic(outputs)
 
     for line in _summary_lines(config, pattern, trace, partition, report):
         print(line, file=out)
 
-
-def run(config: RunConfig, *, out=None, err=None) -> int:
-    """Like execute, but converts errors into a diagnostic plus exit code."""
-    err = err if err is not None else sys.stderr
-    try:
-        execute(config, out=out, err=err)
-    except ObjidentError as exc:
-        print(f"error[{exc.category}]: {exc}", file=err)
-        return EXIT_CODES.get(exc.category, 1)
-    return 0

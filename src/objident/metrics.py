@@ -10,15 +10,15 @@ the 2-decimal display value.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 Row = Sequence[int]
 
@@ -36,7 +36,17 @@ def metric_from_name(name: str) -> Metric:
         return Metric(name.lower())
     except ValueError:
         valid = ", ".join(m.value for m in Metric)
-        raise ValidationError(f"unknown metric {name!r} (expected one of: {valid})") from None
+        raise ConfigError(f"unknown metric {name!r} (expected one of: {valid})") from None
+
+
+def two_decimals(value: Fraction, *, sqrt: bool = False) -> str:
+    """``value``, or its square root, rounded half-up to two decimals, e.g. '1.41'."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        dec = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        if sqrt:
+            dec = dec.sqrt()
+        return str(dec.quantize(decimal.Decimal("0.01"), rounding=decimal.ROUND_HALF_UP))
 
 
 @functools.total_ordering
@@ -70,12 +80,7 @@ class ExactDissimilarity:
     @property
     def display(self) -> str:
         """Magnitude rounded half-up to two decimals, e.g. '1.41'."""
-        with localcontext() as ctx:
-            ctx.prec = 30
-            dec = Decimal(self.key.numerator) / Decimal(self.key.denominator)
-            if self.metric is Metric.EUCLIDEAN:
-                dec = dec.sqrt()
-            return str(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+        return two_decimals(self.key, sqrt=self.metric is Metric.EUCLIDEAN)
 
     def within_height(self, threshold: Fraction) -> bool:
         """Exact test of magnitude <= threshold (threshold in display units)."""
@@ -86,49 +91,25 @@ class ExactDissimilarity:
         return self.key <= threshold
 
 
-def hamming(row_a: Row, row_b: Row) -> int:
-    """Count of positions where the two rows differ."""
+def distance(metric: Metric, row_a: Row, row_b: Row) -> ExactDissimilarity:
+    """Compute the dissimilarity of two rows under the given metric.
+
+    Every key counts the mismatched positions.  Euclidean (whose key is the
+    squared distance) and Manhattan keep the count; simple matching divides
+    it by the row length; Jaccard divides it by the positions where either
+    row is set, and gives 0 for two all-zero rows.
+    """
     if len(row_a) != len(row_b):
         raise ValidationError(
             f"row length mismatch: {len(row_a)} vs {len(row_b)}")
-    return sum(1 for a, b in zip(row_a, row_b) if a != b)
-
-
-def euclidean(row_a: Row, row_b: Row) -> ExactDissimilarity:
-    """Euclidean distance; key holds the squared distance (= Hamming count)."""
-    return ExactDissimilarity(Fraction(hamming(row_a, row_b)), Metric.EUCLIDEAN)
-
-
-def manhattan(row_a: Row, row_b: Row) -> ExactDissimilarity:
-    """L1 distance; on binary rows this equals the Hamming count."""
-    return ExactDissimilarity(Fraction(hamming(row_a, row_b)), Metric.MANHATTAN)
-
-
-def simple_matching(row_a: Row, row_b: Row) -> ExactDissimilarity:
-    """Mismatch fraction: differing positions / total positions."""
-    if len(row_a) == 0 and len(row_b) == 0:
-        raise ValidationError("simple matching is undefined for zero-length rows")
-    return ExactDissimilarity(
-        Fraction(hamming(row_a, row_b), len(row_a)), Metric.SIMPLE_MATCHING)
-
-
-def jaccard(row_a: Row, row_b: Row) -> ExactDissimilarity:
-    """Mismatches / (shared ones + mismatches); two all-zero rows give 0."""
-    mismatches = hamming(row_a, row_b)
-    both = sum(1 for a, b in zip(row_a, row_b) if a and b)
-    if both + mismatches == 0:
-        return ExactDissimilarity(Fraction(0), Metric.JACCARD)
-    return ExactDissimilarity(Fraction(mismatches, both + mismatches), Metric.JACCARD)
-
-
-_COMPUTE = {
-    Metric.EUCLIDEAN: euclidean,
-    Metric.MANHATTAN: manhattan,
-    Metric.SIMPLE_MATCHING: simple_matching,
-    Metric.JACCARD: jaccard,
-}
-
-
-def distance(metric: Metric, row_a: Row, row_b: Row) -> ExactDissimilarity:
-    """Compute the dissimilarity of two rows under the given metric."""
-    return _COMPUTE[metric](row_a, row_b)
+    mismatches = sum(1 for a, b in zip(row_a, row_b) if a != b)
+    if metric is Metric.SIMPLE_MATCHING:
+        if not row_a:
+            raise ValidationError("simple matching is undefined for zero-length rows")
+        key = Fraction(mismatches, len(row_a))
+    elif metric is Metric.JACCARD:
+        either = mismatches + sum(1 for a, b in zip(row_a, row_b) if a and b)
+        key = Fraction(mismatches, either) if either else Fraction(0)
+    else:
+        key = Fraction(mismatches)
+    return ExactDissimilarity(key, metric)

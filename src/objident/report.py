@@ -11,13 +11,13 @@ set bits that fall in the dominant subject's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dendrogram import PartitionGroup
 from .errors import ValidationError
 from .features import PatternMatrix, RelationSchema
+from .metrics import two_decimals
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ class CandidateObjectReport:
                 doc["tied_subjects"] = list(e.tied_subjects)
             doc["affinity"] = {"num": e.affinity.numerator,
                                "den": e.affinity.denominator}
-            with localcontext() as ctx:
-                ctx.prec = 30
-                dec = Decimal(e.affinity.numerator) / Decimal(e.affinity.denominator)
-            doc["affinity_display"] = str(dec.quantize(Decimal("0.01"),
-                                                       rounding=ROUND_HALF_UP))
+            doc["affinity_display"] = two_decimals(e.affinity)
             entries.append(doc)
         return {"entries": entries}
 
@@ -86,9 +82,10 @@ def label_clusters(partition: Sequence, pattern: PatternMatrix,
             "partition does not cover the pattern rows exactly once")
     subject_columns = {
         t: schema.columns_for_subject(t) for t in schema.subject_types}
+    row_of = dict(zip(pattern.row_labels, pattern.rows))
     entries = []
     for label, members in groups:
-        rows = [pattern.row(name) for name in members]
+        rows = [row_of[name] for name in members]
         counts = {
             t: sum(row[c] for row in rows for c in cols)
             for t, cols in subject_columns.items()

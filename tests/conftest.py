@@ -5,12 +5,11 @@ import pytest
 
 from objident import (
     ComponentRecord,
-    PatternMatrix,
-    RelationSchema,
     build_pattern_matrix,
     derive_relations,
     parse_components,
 )
+from objident.features import PatternMatrix, RelationSchema
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 

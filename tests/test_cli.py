@@ -108,6 +108,24 @@ def test_malformed_declarations_is_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_undeclared_uses_name_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.decls"
+    proto = "struct stack * mk (int n) ! uses: queue"
+    bad.write_text(f"%types stack\n{proto}\n")
+    code = main(["cluster", "--input", str(bad), "--kind", "decls"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error[parse]" in err
+    assert f"line 2, column {proto.index('queue') + 1}" in err
+
+
+def test_linkage_flag(tmp_path, capsys):
+    assert main(cluster_args(tmp_path, "--linkage", "complete")) == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert main(cluster_args(tmp_path, "--linkage", "SINGLE")) == 0
+    assert "linkage: single" in capsys.readouterr().out
+
+
 def test_cut_out_of_range_is_validation_error(tmp_path, capsys):
     code = main(cluster_args(tmp_path, "--cut", "k:40"))
     assert code == 4

@@ -89,6 +89,7 @@ def test_comments_and_blank_lines_ignored():
     ("int f (int n) extra", "expected end of line"),
     ("int f (int n) @", "unexpected character '@'"),
     ("struct f (int n)", "expected function name"),
+    ("struct stack * mk (int n) ! uses: stack, queue", "unknown subject type 'queue'"),
 ])
 def test_malformed_lines_rejected(line, fragment):
     with pytest.raises(ParseError) as info:

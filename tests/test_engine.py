@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from objident import (
-    Linkage,
+    ConfigError,
     MergePolicy,
     Metric,
     ValidationError,
     cluster,
     cut_k,
     initial_proximity,
-    linkage_from_name,
     policy_from_name,
 )
 from objident import engine
@@ -295,19 +294,11 @@ def test_merge_below_its_parts_is_rejected():
         table.merge((1, first.id), 1, 2)
 
 
-def test_cluster_rejects_non_single_linkage(stacks):
-    with pytest.raises(ValidationError, match="single"):
-        cluster(stacks.pattern, Metric.EUCLIDEAN, linkage=object())
-
-
 def test_name_resolution_helpers():
     assert policy_from_name("Paper") is MergePolicy.PAPER_REPRO
     assert policy_from_name("sequential") is MergePolicy.SEQUENTIAL
-    assert linkage_from_name("SINGLE") is Linkage.SINGLE
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="random"):
         policy_from_name("random")
-    with pytest.raises(ValidationError):
-        linkage_from_name("complete")
 
 
 def test_proximity_matrix_diagonal_not_stored(stacks):

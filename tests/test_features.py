@@ -4,11 +4,11 @@ import pytest
 
 from objident import (
     ComponentRecord,
-    RelationKind,
     ValidationError,
     build_pattern_matrix,
     derive_relations,
 )
+from objident.features import RelationKind
 
 from conftest import STACK_QUEUE_GOLD_ROWS, STACKS_GOLD_ROWS
 
@@ -59,11 +59,11 @@ def test_relation_count_scales_with_subjects():
 
 
 def test_pattern_row_init_ref(stacks):
-    assert stacks.pattern.row("initRef") == (0, 1, 0, 0, 0, 1)
+    assert stacks.pattern.rows[stacks.pattern.row_labels.index("initRef")] == (0, 1, 0, 0, 0, 1)
 
 
 def test_pattern_row_tra_exec(stacks):
-    assert stacks.pattern.row("traExec") == (1, 0, 1, 0, 1, 0)
+    assert stacks.pattern.rows[stacks.pattern.row_labels.index("traExec")] == (1, 0, 1, 0, 1, 0)
 
 
 def test_pattern_row_all_zero_without_relations():
@@ -73,7 +73,7 @@ def test_pattern_row_all_zero_without_relations():
         ComponentRecord("user", returns="stack"),
     ]
     pattern = build_pattern_matrix(records, schema)
-    assert pattern.row("plain") == (0, 0, 0)
+    assert pattern.rows[0] == (0, 0, 0)
 
 
 def test_stacks_pattern_matches_golden(stacks):

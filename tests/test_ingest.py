@@ -5,20 +5,22 @@ import pytest
 
 from objident import (
     ConfigError,
-    DendrogramFormat,
-    InputKind,
     InputOutputError,
     MergePolicy,
     ParseError,
-    RunConfig,
+    ValidationError,
     canonical_json,
-    execute,
     parse_components,
     parse_cut_spec,
-    run,
     write_text_atomic,
 )
-from objident.ingest import read_text
+from objident.ingest import (
+    DendrogramFormat,
+    InputKind,
+    RunConfig,
+    execute,
+    read_text,
+)
 
 from conftest import FIXTURE_DIR
 
@@ -172,7 +174,7 @@ def test_execute_warns_when_declarations_lack_uses(tmp_path, capsys):
                      "void enQ (struct queue * q, int i)\n")
     config = RunConfig(input_path=decls, input_kind=InputKind.DECLARATIONS,
                        trace_path=tmp_path / "trace.json")
-    assert run(config) == 0
+    execute(config)
     captured = capsys.readouterr()
     assert "warning" in captured.err
     assert "annotations" in captured.err
@@ -182,27 +184,50 @@ def test_execute_warns_when_declarations_lack_uses(tmp_path, capsys):
         assert all(row[c] == 0 for c in uses_cols)
 
 
-def test_run_reports_categorised_diagnostics(tmp_path, capsys):
+def test_execute_raises_categorised_errors(tmp_path):
     missing = RunConfig(input_path=tmp_path / "absent.json",
                         input_kind=InputKind.COMPONENTS)
-    assert run(missing) == 5
-    assert "error[io]" in capsys.readouterr().err
+    with pytest.raises(InputOutputError) as info:
+        execute(missing)
+    assert (info.value.category, info.value.exit_code) == ("io", 5)
 
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    assert run(RunConfig(input_path=bad, input_kind=InputKind.COMPONENTS)) == 3
-    assert "error[parse]" in capsys.readouterr().err
+    with pytest.raises(ParseError) as info:
+        execute(RunConfig(input_path=bad, input_kind=InputKind.COMPONENTS))
+    assert (info.value.category, info.value.exit_code) == ("parse", 3)
 
-    assert run(stacks_config(tmp_path, cut=("k", 99))) == 4
-    assert "error[validation]" in capsys.readouterr().err
+    with pytest.raises(ValidationError) as info:
+        execute(stacks_config(tmp_path, cut=("k", 99)))
+    assert (info.value.category, info.value.exit_code) == ("validation", 4)
 
 
-def test_run_failure_writes_nothing(tmp_path, capsys):
+def test_execute_failure_writes_nothing(tmp_path, capsys):
     target = tmp_path / "trace.json"
     config = stacks_config(tmp_path, cut=("k", 99), trace_path=target)
-    assert run(config) != 0
-    capsys.readouterr()
+    with pytest.raises(ValidationError):
+        execute(config)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("blocked", ["parent is a file", "path is a directory"])
+def test_unwritable_report_leaves_no_other_output(tmp_path, capsys, blocked):
+    blocker = tmp_path / "blocker"
+    if blocked == "parent is a file":
+        blocker.write_text("x")
+        report = blocker / "report.json"
+    else:
+        blocker.mkdir()
+        report = blocker
+    config = stacks_config(tmp_path, cut=("k", 2),
+                           trace_path=tmp_path / "t.json",
+                           dendrogram_path=tmp_path / "tree.txt",
+                           report_path=report)
+    with pytest.raises(InputOutputError) as info:
+        execute(config)
+    assert info.value.exit_code == 5
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert capsys.readouterr().out == ""
 
 
 def test_execute_is_byte_deterministic(tmp_path):

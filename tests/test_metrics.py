@@ -6,15 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from objident import (
+    ConfigError,
     Metric,
     ValidationError,
     distance,
-    euclidean,
-    hamming,
-    jaccard,
-    manhattan,
     metric_from_name,
-    simple_matching,
 )
 
 import oracle
@@ -33,59 +29,60 @@ row_pairs = st.integers(min_value=1, max_value=10).flatmap(
 
 
 def test_hamming_examples():
-    assert hamming(ROW_INIT_REF, ROW_INIT_EXEC) == 4
-    assert hamming(ROW_TRA_REF, ROW_TRA_REF) == 0
-    assert hamming(ROW_TRA_REF, ROW_TRA_EXEC) == 6
+    assert distance(Metric.MANHATTAN, ROW_INIT_REF, ROW_INIT_EXEC).key == 4
+    assert distance(Metric.MANHATTAN, ROW_TRA_REF, ROW_TRA_REF).key == 0
+    assert distance(Metric.MANHATTAN, ROW_TRA_REF, ROW_TRA_EXEC).key == 6
 
 
-def test_hamming_length_mismatch():
-    with pytest.raises(ValidationError):
-        hamming((0, 1), (0, 1, 0))
+@pytest.mark.parametrize("metric", list(Metric))
+def test_row_length_mismatch(metric):
+    with pytest.raises(ValidationError, match="mismatch"):
+        distance(metric, (0, 1), (0, 1, 0))
 
 
 def test_euclidean_examples():
-    assert euclidean(ROW_INIT_REF, ROW_INIT_EXEC).display == "2.00"
-    assert euclidean(ROW_TRA_REF, ROW_TRA_EXEC).display == "2.45"
+    assert distance(Metric.EUCLIDEAN, ROW_INIT_REF, ROW_INIT_EXEC).display == "2.00"
+    assert distance(Metric.EUCLIDEAN, ROW_TRA_REF, ROW_TRA_EXEC).display == "2.45"
     # Squared key 4 for four differing positions.
-    cell = euclidean(ROW_INIT_REF, (0, 0, 1, 0, 1, 0))
+    cell = distance(Metric.EUCLIDEAN, ROW_INIT_REF, (0, 0, 1, 0, 1, 0))
     assert cell.key == Fraction(4)
     assert cell.display == "2.00"
 
 
 def test_euclidean_display_rounding():
-    assert euclidean((0, 1), (1, 0)).display == "1.41"      # sqrt(2)
-    assert euclidean((1,) * 5, (0,) * 5).display == "2.24"  # sqrt(5)
-    assert euclidean((1,) * 3, (0,) * 3).display == "1.73"  # sqrt(3)
+    assert distance(Metric.EUCLIDEAN, (0, 1), (1, 0)).display == "1.41"      # sqrt(2)
+    assert distance(Metric.EUCLIDEAN, (1,) * 5, (0,) * 5).display == "2.24"  # sqrt(5)
+    assert distance(Metric.EUCLIDEAN, (1,) * 3, (0,) * 3).display == "1.73"  # sqrt(3)
 
 
 def test_manhattan_examples():
-    assert manhattan(ROW_INIT_REF, ROW_INIT_EXEC).key == 4
-    assert manhattan(ROW_INIT_REF, ROW_INIT_REF).key == 0
-    assert manhattan(ROW_TRA_REF, ROW_TRA_EXEC).key == 6
-    assert manhattan(ROW_TRA_REF, ROW_TRA_EXEC).display == "6.00"
+    assert distance(Metric.MANHATTAN, ROW_INIT_REF, ROW_INIT_EXEC).key == 4
+    assert distance(Metric.MANHATTAN, ROW_INIT_REF, ROW_INIT_REF).key == 0
+    assert distance(Metric.MANHATTAN, ROW_TRA_REF, ROW_TRA_EXEC).key == 6
+    assert distance(Metric.MANHATTAN, ROW_TRA_REF, ROW_TRA_EXEC).display == "6.00"
 
 
 def test_simple_matching_examples():
-    assert simple_matching(ROW_INIT_REF, ROW_IS_EMPTY_REF).key == Fraction(2, 6)
-    assert simple_matching(ROW_INIT_REF, ROW_IS_EMPTY_REF).display == "0.33"
-    assert simple_matching(ROW_TRA_REF, ROW_TRA_REF).key == 0
-    assert simple_matching(ROW_TRA_REF, ROW_TRA_EXEC).key == 1
+    assert distance(Metric.SIMPLE_MATCHING, ROW_INIT_REF, ROW_IS_EMPTY_REF).key == Fraction(2, 6)
+    assert distance(Metric.SIMPLE_MATCHING, ROW_INIT_REF, ROW_IS_EMPTY_REF).display == "0.33"
+    assert distance(Metric.SIMPLE_MATCHING, ROW_TRA_REF, ROW_TRA_REF).key == 0
+    assert distance(Metric.SIMPLE_MATCHING, ROW_TRA_REF, ROW_TRA_EXEC).key == 1
 
 
 def test_simple_matching_zero_length():
     with pytest.raises(ValidationError):
-        simple_matching((), ())
+        distance(Metric.SIMPLE_MATCHING, (), ())
 
 
 def test_simple_matching_half_up_display():
-    assert simple_matching((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8).display == "0.13"
+    assert distance(Metric.SIMPLE_MATCHING, (1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8).display == "0.13"
 
 
 def test_jaccard_examples():
-    assert jaccard(ROW_INIT_REF, ROW_IS_EMPTY_REF).key == Fraction(2, 3)
-    assert jaccard(ROW_INIT_REF, ROW_IS_EMPTY_REF).display == "0.67"
-    assert jaccard(ROW_TRA_REF, ROW_TRA_REF).key == 0
-    assert jaccard((0, 0, 0), (0, 0, 0)).key == 0
+    assert distance(Metric.JACCARD, ROW_INIT_REF, ROW_IS_EMPTY_REF).key == Fraction(2, 3)
+    assert distance(Metric.JACCARD, ROW_INIT_REF, ROW_IS_EMPTY_REF).display == "0.67"
+    assert distance(Metric.JACCARD, ROW_TRA_REF, ROW_TRA_REF).key == 0
+    assert distance(Metric.JACCARD, (0, 0, 0), (0, 0, 0)).key == 0
 
 
 @given(row_pairs)
@@ -113,8 +110,8 @@ def test_ranges(pair):
 
 @given(row_pairs, row_pairs)
 def test_euclidean_manhattan_order_agreement(first, second):
-    e1, e2 = euclidean(*first), euclidean(*second)
-    m1, m2 = manhattan(*first), manhattan(*second)
+    e1, e2 = distance(Metric.EUCLIDEAN, *first), distance(Metric.EUCLIDEAN, *second)
+    m1, m2 = distance(Metric.MANHATTAN, *first), distance(Metric.MANHATTAN, *second)
     assert (e1.key < e2.key) == (m1.key < m2.key)
     assert (e1.key == e2.key) == (m1.key == m2.key)
 
@@ -123,16 +120,16 @@ def test_euclidean_value_matches_float_oracle_exhaustively():
     rows = list(itertools.product((0, 1), repeat=6))
     for a in rows:
         for b in rows:
-            assert abs(euclidean(a, b).value - oracle.euclidean_value(a, b)) < 1e-9
+            assert abs(distance(Metric.EUCLIDEAN, a, b).value - oracle.euclidean_value(a, b)) < 1e-9
 
 
 def test_ordering_is_exact_and_same_metric_only():
-    small = simple_matching((1, 0, 0), (0, 0, 0))   # 1/3
-    large = simple_matching((1, 0), (0, 1))         # 1/1... 2/2 = 1
+    small = distance(Metric.SIMPLE_MATCHING, (1, 0, 0), (0, 0, 0))   # 1/3
+    large = distance(Metric.SIMPLE_MATCHING, (1, 0), (0, 1))         # 1/1... 2/2 = 1
     assert small < large
     assert not large < small
     with pytest.raises(ValueError):
-        _ = small < euclidean((0,), (1,))
+        _ = small < distance(Metric.EUCLIDEAN, (0,), (1,))
 
 
 def test_metric_from_name():
@@ -140,5 +137,5 @@ def test_metric_from_name():
     assert metric_from_name("MANHATTAN") is Metric.MANHATTAN
     assert metric_from_name("smc") is Metric.SIMPLE_MATCHING
     assert metric_from_name("jaccard") is Metric.JACCARD
-    with pytest.raises(ValidationError, match="cosine"):
+    with pytest.raises(ConfigError, match="cosine"):
         metric_from_name("cosine")

@@ -38,7 +38,8 @@ def test_affinity_counts_eleven_refstack_bits(stacks, stacks_partition):
     # fall in refstack columns.
     report = label_clusters(stacks_partition, stacks.pattern, stacks.schema)
     ref = report.entries[0]
-    total_bits = sum(sum(stacks.pattern.row(name)) for name in ref.members)
+    row_of = dict(zip(stacks.pattern.row_labels, stacks.pattern.rows))
+    total_bits = sum(sum(row_of[name]) for name in ref.members)
     assert total_bits == 11
     assert ref.affinity == Fraction(11, 11)
 
