@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .metrics import ExactDissimilarity
 
 if TYPE_CHECKING:
-    from .engine import MergeRound
+    from .engine import MergeRound, _ClusterTable
     from .features import PatternMatrix
     from .report import CandidateObjectReport
 
@@ -46,29 +46,37 @@ class Dendrogram:
     n_leaves: int
 
     @cached_property
-    def _members(self) -> dict[int, frozenset[int]]:
+    def _min_leaf(self) -> dict[int, int]:
         # Children ids precede parent ids, so one ascending pass suffices.
-        members: dict[int, frozenset[int]] = {}
+        low: dict[int, int] = {}
         for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            if node.is_leaf:
-                members[nid] = frozenset((nid,))
+            kids = self.nodes[nid].children
+            low[nid] = min(map(low.__getitem__, kids)) if kids else nid
+        return low
+
+    def _leaves(self, node_id: int) -> list[int]:
+        leaves = []
+        stack = [node_id]
+        while stack:
+            nid = stack.pop()
+            kids = self.nodes[nid].children
+            if kids:
+                stack.extend(kids)
             else:
-                members[nid] = frozenset().union(*(members[c] for c in node.children))
-        return members
+                leaves.append(nid)
+        return leaves
 
     def members(self, node_id: int) -> frozenset[int]:
         """Leaf ids contained in the subtree rooted at ``node_id``."""
-        return self._members[node_id]
+        return frozenset(self._leaves(node_id))
 
     def leaf_labels(self, node_id: int) -> tuple[str, ...]:
         """Leaf labels of a subtree, ordered by leaf id."""
-        return tuple(self.nodes[i].label for i in sorted(self.members(node_id)))
+        return tuple(self.nodes[i].label for i in sorted(self._leaves(node_id)))
 
     def ordered_children(self, node_id: int) -> tuple[int, ...]:
         """Children sorted by their smallest contained leaf id."""
-        kids = self.nodes[node_id].children
-        return tuple(sorted(kids, key=lambda c: min(self.members(c))))
+        return tuple(sorted(self.nodes[node_id].children, key=self._min_leaf.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ Partition = tuple[PartitionGroup, ...]
 
 
 def _as_groups(d: Dendrogram, node_ids: list[int]) -> Partition:
-    ordered = sorted(node_ids, key=lambda g: min(d.members(g)))
+    ordered = sorted(node_ids, key=d._min_leaf.__getitem__)
     return tuple(
         PartitionGroup(d.nodes[g].label, d.leaf_labels(g)) for g in ordered)
 
@@ -185,33 +193,52 @@ def _key_doc(key: Fraction) -> dict:
     return {"num": key.numerator, "den": key.denominator}
 
 
-def _node_doc(d: Dendrogram, node_id: int) -> dict:
-    node = d.nodes[node_id]
-    if node.is_leaf:
-        return {"label": node.label}
-    return {
-        "label": node.label,
-        "height": node.height.display,
-        "height_key": _key_doc(node.height.key),
-        "round": node.round_index,
-        "children": [_node_doc(d, c) for c in d.ordered_children(node_id)],
-    }
+def _node_doc(d: Dendrogram) -> dict:
+    """The nested label/height tree, built without recursion."""
+    root: dict = {}
+    # Each entry is a node id and the empty dict, already in place in its
+    # parent's document, that becomes its own.
+    stack = [(d.root, root)]
+    while stack:
+        nid, doc = stack.pop()
+        node = d.nodes[nid]
+        doc["label"] = node.label
+        if node.is_leaf:
+            continue
+        kids = [{} for _ in node.children]
+        doc.update(height=node.height.display, height_key=_key_doc(node.height.key),
+                   round=node.round_index, children=kids)
+        stack.extend(zip(d.ordered_children(nid), kids))
+    return root
 
 
-def _matrix_doc(matrix) -> dict:
-    labels = [c.label for c in matrix.active]
+class _CellText(dict):
+    """Int distance -> its display string, made on first use; ``key_docs``
+    gets the same keys' ``{num, den}`` dicts at the same time."""
+
+    def __init__(self, exact: Mapping[int, ExactDissimilarity]):
+        super().__init__()
+        self._exact = exact
+        self.key_docs: dict[int, dict] = {}
+
+    def __missing__(self, key: int) -> str:
+        value = self._exact[key]
+        self.key_docs[key] = _key_doc(value.key)
+        text = self[key] = value.display
+        return text
+
+
+def _matrix_doc(table: "_ClusterTable", round_index: int, text: _CellText) -> dict:
+    ids = table.active_after(round_index)
     display_rows = []
     key_rows = []
-    for i in range(1, len(matrix.active)):
-        row_disp = []
-        row_keys = []
-        for j in range(i):
-            cell = matrix.get(matrix.active[j].id, matrix.active[i].id)
-            row_disp.append(cell.display)
-            row_keys.append(_key_doc(cell.key))
-        display_rows.append(row_disp)
-        key_rows.append(row_keys)
-    return {"labels": labels, "display_values": display_rows, "exact_keys": key_rows}
+    for pos in range(1, len(ids)):
+        keys = list(map(table.rows[ids[pos]].__getitem__, ids[:pos]))
+        # Display strings first: looking them up makes any missing key doc.
+        display_rows.append(list(map(text.__getitem__, keys)))
+        key_rows.append(list(map(text.key_docs.__getitem__, keys)))
+    return {"labels": [table.clusters[x].label for x in ids],
+            "display_values": display_rows, "exact_keys": key_rows}
 
 
 def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
@@ -223,6 +250,12 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     snapshots with 2-decimal display values and exact rational keys) and
     ``dendrogram``; ``schema``, ``pattern_matrix``, and ``report`` sections
     are included when the corresponding inputs are given.
+
+    The snapshots of a sequential run hold O(n^3) cells, each one a
+    lookup: they are read from the engine's int distances, and every
+    distinct distance gets one display string and one ``{num, den}`` dict,
+    so all cells at the same distance share one dict object.  The nested
+    ``dendrogram`` is built without recursion, for trees of any depth.
     """
     doc: dict = {}
     if schema is not None:
@@ -239,6 +272,7 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "col_labels": list(pattern.col_labels),
             "rows": [list(row) for row in pattern.rows],
         }
+    text = _CellText(trace[0]._table.exact) if trace else None
     doc["rounds"] = [
         {
             "round": r.round_index,
@@ -251,11 +285,11 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
                 }
                 for m in r.merges
             ],
-            "matrix": _matrix_doc(r.matrix_after),
+            "matrix": _matrix_doc(r._table, r.round_index, text),
         }
         for r in trace
     ]
-    doc["dendrogram"] = _node_doc(d, d.root)
+    doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()
     return doc

@@ -115,6 +115,8 @@ class MergeRound:
 
         Rebuilt on every access, in O(active^2) time, from distances the
         engine keeps anyway; hold on to the result to read it twice.
+        ``dendrogram.to_structured`` does not use it: it reads the same
+        cells from the engine's int distances, one lookup per cell.
         """
         return self._table.snapshot(self.round_index)
 
@@ -231,11 +233,15 @@ class _ClusterTable:
         self.height.append(key)
         return new
 
+    def active_after(self, round_index: int) -> list[int]:
+        """Ascending ids of the clusters active after a round (round 0: the
+        original rows)."""
+        return [x for x in range(len(self.clusters))
+                if self.born[x] <= round_index < self.ended[x]]
+
     def snapshot(self, round_index: int) -> ProximityMatrix:
-        """The proximity matrix over the clusters active after a round
-        (round 0: the original rows)."""
-        ids = [x for x in range(len(self.clusters))
-               if self.born[x] <= round_index < self.ended[x]]
+        """The proximity matrix over the clusters active after a round."""
+        ids = self.active_after(round_index)
         cells: dict[tuple[int, int], ExactDissimilarity] = {}
         for pos, b in enumerate(ids):
             lower = ids[:pos]
@@ -302,7 +308,8 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     across rounds.  Each round's ``matrix_after`` is rebuilt from the
     engine's distances on every access rather than stored, so the engine
     needs O(n^2) time and memory for n pattern rows; reading every round's
-    matrix costs O(n^3) for the sequential policy.
+    matrix costs O(n^3) for the sequential policy.  The trace document
+    holds those O(n^3) cells too, but builds each one with a lookup.
     """
     table = _ClusterTable(pattern, metric)
     rows, active = table.rows, table.active
@@ -335,14 +342,17 @@ def cluster(pattern: PatternMatrix, metric: Metric,
             nodes[new.id] = DendroNode(new.id, new.label, group, height, round_index)
             merges.append(Merge(new, tuple(table.clusters[g] for g in group)))
             to_new = rows[new.id]
-            for pos, c in enumerate(active[:-1]):
+            for c in active[:-1]:
                 if to_new[c] < near_key[c]:
                     near_key[c], near_id[c] = to_new[c], new.id
                 elif near_id[c] in group:
                     # Its partner was merged into `new`, which is now exactly
                     # as near: take the smallest id at that distance (`new`
-                    # itself, at the latest).
-                    near_id[c] = next(_ids_at(rows[c], active[pos + 1:], near_key[c]))
+                    # itself, at the latest).  The old partner was the
+                    # smallest such id and distances to surviving clusters
+                    # never change, so the scan starts past it.
+                    start = bisect_left(active, near_id[c])
+                    near_id[c] = next(_ids_at(rows[c], active[start:], near_key[c]))
         trace.append(MergeRound(round_index, height, tuple(merges), table))
     dend = Dendrogram(nodes, root=active[0], n_leaves=n)
     return ClusterResult(dend, tuple(trace))

@@ -13,6 +13,7 @@ import contextlib
 import enum
 import errno
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,9 +31,170 @@ from .metrics import Metric
 from .report import label_clusters
 
 
+_encode_str = json.encoder.encode_basestring
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value) -> str | None:
+    """json's text for a string, number, bool or None; None for anything else."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """json's text for a dict key: str, float, bool, None and int keys all
+    become strings."""
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _float_text(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
 def canonical_json(doc) -> str:
-    """The one JSON form used for every document this package writes."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The one JSON form used for every document this package writes:
+    exactly ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``.
+
+    Written with an explicit stack, so nesting depth is not limited by the
+    interpreter's recursion limit.  A dict whose values are all scalars is
+    rendered once per object and depth and its text reused, and a list of
+    scalars or of such dicts is joined in one step; ``to_structured`` shares
+    one ``{num, den}`` dict between all cells at one distance, so each
+    distinct key is rendered once per depth.  The document must not change
+    during the call.
+    """
+    # Per depth: the line break before an item, the separator between two
+    # items, and id(dict) -> text of each dict of scalars rendered there.
+    newlines = ["\n"]
+    separators = [",\n"]
+    flat_dicts: list[dict[int, str]] = [{}]
+    rendered = []  # keeps the ids in flat_dicts in use
+
+    def newline(depth: int) -> str:
+        while len(newlines) <= depth:
+            newlines.append(newlines[-1] + "  ")
+            separators.append("," + newlines[-1])
+            flat_dicts.append({})
+        return newlines[depth]
+
+    def flat_item(value, depth: int) -> str | None:
+        """Text of a scalar, an empty container or a dict of scalars at
+        ``depth``; None for anything else."""
+        text = _scalar_text(value)
+        if text is not None or not isinstance(value, (dict, list, tuple)):
+            return text
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        if not isinstance(value, dict):
+            return None
+        inner = newline(depth + 1)
+        text = flat_dicts[depth].get(id(value))
+        if text is None:
+            parts = []
+            for key, item in value.items():
+                item_text = _scalar_text(item)
+                if item_text is None:
+                    return None
+                parts.append(_key_text(key) + ": " + item_text)
+            text = "{" + inner + separators[depth + 1].join(parts) + newlines[depth] + "}"
+            flat_dicts[depth][id(value)] = text
+            rendered.append(value)
+        return text
+
+    def flat(value, depth: int) -> str | None:
+        """Text of a value that needs no frame: what ``flat_item`` takes, or
+        a list of those; None for any other value."""
+        if not isinstance(value, (list, tuple)) or not value:
+            return flat_item(value, depth)
+        inner = newline(depth + 1)
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            parts = list(map(_encode_str, value))
+        elif kinds <= _SCALAR_TYPES:
+            parts = list(map(_scalar_text, value))
+        else:
+            parts = list(map(flat_dicts[depth + 1].get, map(id, value)))
+            if None in parts:
+                parts = [flat_item(item, depth + 1) if text is None else text
+                         for text, item in zip(parts, value)]
+                if None in parts:
+                    return None
+        return "[" + inner + separators[depth + 1].join(parts) + newlines[depth] + "]"
+
+    out: list[str] = []
+    open_ids: set[int] = set()
+    # Frames: [items iterator, is a dict, depth of its items, the container,
+    # whether an item has been written].
+    stack: list[list] = []
+
+    def write(value, depth: int) -> None:
+        text = flat(value, depth)
+        if text is not None:
+            out.append(text)
+            return
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        out.append(("{" if is_dict else "[") + newline(depth + 1))
+        stack.append([iter(value.items() if is_dict else value), is_dict,
+                      depth + 1, value, False])
+
+    write(doc, 0)
+    while stack:
+        frame = stack[-1]
+        items, is_dict, depth = frame[0], frame[1], frame[2]
+        for item in items:
+            if frame[4]:
+                out.append(separators[depth])
+            frame[4] = True
+            if is_dict:
+                key, item = item
+                out.append(_key_text(key) + ": ")
+            write(item, depth)
+            if stack[-1] is not frame:
+                break
+        else:
+            stack.pop()
+            open_ids.discard(id(frame[3]))
+            out.append(newlines[depth - 1] + ("}" if is_dict else "]"))
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,16 +7,25 @@ from objident import (
     MergePolicy,
     Metric,
     ValidationError,
+    build_pattern_matrix,
     canonical_json,
     cluster,
     cut_height,
     cut_k,
+    derive_relations,
+    label_clusters,
+    parse_components,
+    parse_declarations,
     render_ascii,
     render_dot,
     to_structured,
 )
+from objident.dendrogram import DendroNode, Dendrogram
+from objident.metrics import ExactDissimilarity
 
+from conftest import FIXTURE_DIR
 from test_engine import make_pattern
+from test_golden import INPUT_DIR
 
 REF_GROUP = frozenset({"initRef", "isEmptyRef", "rPush", "rPop", "traRef"})
 EXEC_GROUP = frozenset({"initExec", "isEmptyExec", "ePush", "ePop", "traExec"})
@@ -202,3 +212,93 @@ def test_cut_partitions_disjoint_and_cover(stacks_tree):
         partition = cut_k(dend, k)
         names = [m for g in partition for m in g.members]
         assert sorted(names) == sorted(dend.leaf_labels(dend.root))
+
+
+def key_doc(key):
+    return {"num": key.numerator, "den": key.denominator}
+
+
+def reference_tree(d, node_id):
+    node = d.nodes[node_id]
+    if node.is_leaf:
+        return {"label": node.label}
+    kids = sorted(node.children, key=lambda c: min(d.members(c)))
+    return {"label": node.label, "height": node.height.display,
+            "height_key": key_doc(node.height.key), "round": node.round_index,
+            "children": [reference_tree(d, c) for c in kids]}
+
+
+def reference_matrix(prox):
+    """One display string and one fresh key dict per cell, read through
+    ``matrix_after``'s ``ProximityMatrix``."""
+    rows = range(1, len(prox.active))
+    cells = [[prox.get(prox.active[j].id, prox.active[i].id) for j in range(i)]
+             for i in rows]
+    return {"labels": [c.label for c in prox.active],
+            "display_values": [[c.display for c in row] for row in cells],
+            "exact_keys": [[key_doc(c.key) for c in row] for row in cells]}
+
+
+CORPORA = [FIXTURE_DIR / "stacks.json", FIXTURE_DIR / "stack_queue.json",
+           INPUT_DIR / "syn40.json", INPUT_DIR / "syn48.json",
+           INPUT_DIR / "syn32.decls", INPUT_DIR / "syn60.decls"]
+
+
+@pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.name)
+def test_structured_text_matches_per_cell_reference(path):
+    parse = parse_components if path.suffix == ".json" else parse_declarations
+    subjects, records = parse(path.read_text())
+    schema = derive_relations(subjects)
+    pattern = build_pattern_matrix(records, schema)
+    for metric in Metric:
+        for policy in MergePolicy:
+            dend, trace = cluster(pattern, metric, policy=policy)
+            report = label_clusters(cut_height(dend, "0.5"), pattern, schema)
+            doc = to_structured(dend, trace, schema=schema, pattern=pattern, report=report)
+            reference = dict(doc, dendrogram=reference_tree(dend, dend.root), rounds=[
+                {"round": r.round_index, "min_display": r.min_key.display,
+                 "min_key": key_doc(r.min_key.key),
+                 "merges": [{"label": m.new.label,
+                             "member_labels": [c.label for c in m.constituents]}
+                            for m in r.merges],
+                 "matrix": reference_matrix(r.matrix_after)}
+                for r in trace])
+            assert canonical_json(doc) == json.dumps(
+                reference, indent=2, ensure_ascii=False) + "\n"
+
+
+def chain_dendrogram(n):
+    """Leaves f0..f{n-1}; C1 joins f0 and f1, and each later Ck joins
+    C(k-1) and fk, so the tree is n - 1 merges deep."""
+    nodes = {i: DendroNode(i, f"f{i}") for i in range(n)}
+    below = 0
+    for k in range(1, n):
+        nodes[n + k - 1] = DendroNode(
+            n + k - 1, f"C{k}", (below, k),
+            ExactDissimilarity(Fraction(k), Metric.MANHATTAN), k)
+        below = n + k - 1
+    return Dendrogram(nodes, root=below, n_leaves=n)
+
+
+def test_deep_chain_renders_and_cuts():
+    d = chain_dendrogram(5000)
+    root = to_structured(d, [])["dendrogram"]
+    labels, stack = 0, [root]
+    while stack:
+        node = stack.pop()
+        labels += 1
+        stack.extend(node.get("children", ()))
+    assert labels == 9999
+    assert render_ascii(d).count("\n") == 9999
+    assert render_dot(d).count(" -> ") == 9998
+    assert [(g.label, len(g.members)) for g in cut_k(d, 2)] == [("C4998", 4999),
+                                                                ("f4999", 1)]
+    assert d.leaf_labels(d.root)[:3] == ("f0", "f1", "f2")
+
+
+def test_deep_chain_serialises():
+    # 1,500 merges nest the document about 3,000 containers deep, past the
+    # default recursion limit; its text grows with the square of the depth.
+    text = canonical_json(to_structured(chain_dendrogram(1500), []))
+    assert text.count('"label": ') == 2999
+    assert text.count('"children": [') == 1499

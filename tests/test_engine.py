@@ -207,6 +207,29 @@ def oracle_rounds(rows, metric_name, policy):
             enumerate(oracle.single_linkage_steps(rows, metric_name))]
 
 
+def assert_matches_oracle(rows, metric):
+    """Both policies' merges and every round's snapshot equal the oracle's."""
+    name = METRIC_NAMES[metric]
+    pattern = make_pattern(rows)
+    for policy in MergePolicy:
+        expected = oracle_rounds(rows, name, policy)
+        trace = cluster(pattern, metric, policy=policy).trace
+        assert [
+            (r.min_key.key,
+             [(tuple(c.id for c in m.constituents), m.new.id) for m in r.merges])
+            for r in trace
+        ] == expected
+        members = {i: frozenset((i,)) for i in range(len(rows))}
+        for merge_round, (_, merges) in zip(trace, expected):
+            for group, new in merges:
+                members[new] = frozenset().union(*(members.pop(i) for i in group))
+            prox = merge_round.matrix_after
+            assert [c.id for c in prox.active] == sorted(members)
+            for a, b, cell in prox.pairs():
+                assert cell.key == oracle.group_key(
+                    name, rows, members[a.id], members[b.id])
+
+
 def test_tie_order_and_snapshots_match_oracle_both_policies():
     # Few columns make ties and copies common, so the id-order tie rules
     # decide most merges.
@@ -214,26 +237,21 @@ def test_tie_order_and_snapshots_match_oracle_both_policies():
     metrics = list(Metric)
     for case in range(320):
         rows = random_rows(rng, n=rng.randint(2, 9), t=rng.randint(1, 4))
-        metric = metrics[case % len(metrics)]
-        name = METRIC_NAMES[metric]
-        pattern = make_pattern(rows)
-        for policy in MergePolicy:
-            expected = oracle_rounds(rows, name, policy)
-            trace = cluster(pattern, metric, policy=policy).trace
-            assert [
-                (r.min_key.key,
-                 [(tuple(c.id for c in m.constituents), m.new.id) for m in r.merges])
-                for r in trace
-            ] == expected
-            members = {i: frozenset((i,)) for i in range(len(rows))}
-            for merge_round, (_, merges) in zip(trace, expected):
-                for group, new in merges:
-                    members[new] = frozenset().union(*(members.pop(i) for i in group))
-                prox = merge_round.matrix_after
-                assert [c.id for c in prox.active] == sorted(members)
-                for a, b, cell in prox.pairs():
-                    assert cell.key == oracle.group_key(
-                        name, rows, members[a.id], members[b.id])
+        assert_matches_oracle(rows, metrics[case % len(metrics)])
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_star_tie_order_matches_oracle_both_policies(metric):
+    # One empty row plus one row per column with only that bit set.  Under
+    # the mismatch-count metrics every one-bit row is nearest the empty row
+    # and ties with all the others; under Jaccard every pair ties.  Most
+    # merges take away some rows' partner, so the partner repair decides
+    # the tree.
+    for width in range(1, 8):
+        one_bit = [tuple(int(i == j) for i in range(width)) for j in range(width)]
+        for empty_at in sorted({0, width // 2, width}):
+            rows = one_bit[:empty_at] + [(0,) * width] + one_bit[empty_at:]
+            assert_matches_oracle(rows, metric)
 
 
 def test_euclidean_manhattan_identical_traces():

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from objident import (
     ConfigError,
@@ -90,6 +92,36 @@ def test_parse_components_invalid_json_has_position():
 def test_canonical_json_roundtrip_on_fixture():
     text = (FIXTURE_DIR / "stacks.json").read_text()
     assert canonical_json(json.loads(text)) == text
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text())
+json_keys = st.text() | st.integers() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.lists(st.text()) | st.tuples(inner, inner)
+                   | st.dictionaries(json_keys, inner)),
+    max_leaves=40)
+
+
+@given(json_values, st.dictionaries(json_keys, json_scalars))
+def test_canonical_json_matches_json_dumps(value, shared):
+    # ``shared`` is one dict object at several depths and twice in one list,
+    # the case whose rendered text the writer reuses.
+    for doc in (value, {"value": value, "shared": shared,
+                        "deeper": [[shared, value, shared], [shared, shared]]}):
+        assert canonical_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_canonical_json_rejects_cycles():
+    looped = [1, {"a": []}]
+    looped[1]["a"].append(looped)
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json(looped)
+    itself: dict = {}
+    itself["x"] = itself
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json(itself)
 
 
 def test_parse_cut_spec():
