@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .metrics import ExactDissimilarity
 
 if TYPE_CHECKING:
-    from .engine import MergeRound, _ClusterTable
+    from .engine import MergeRound, ProximityMatrix
     from .features import PatternMatrix
     from .report import CandidateObjectReport
 
@@ -166,7 +166,8 @@ def render_ascii(d: Dendrogram) -> str:
                 child_prefix + ("`-- " if last else "|-- "),
                 child_prefix + ("    " if last else "|   "),
             ))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_dot(d: Dendrogram) -> str:
@@ -185,8 +186,8 @@ def render_dot(d: Dendrogram) -> str:
     for nid in sorted(d.nodes):
         for child in d.ordered_children(nid):
             lines.append(f"  n{child} -> n{nid};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(("}", ""))
+    return "\n".join(lines)
 
 
 def _key_doc(key: Fraction) -> dict:
@@ -228,16 +229,11 @@ class _CellText(dict):
         return text
 
 
-def _matrix_doc(table: "_ClusterTable", round_index: int, text: _CellText) -> dict:
-    ids = table.active_after(round_index)
-    display_rows = []
-    key_rows = []
-    for pos in range(1, len(ids)):
-        keys = list(map(table.rows[ids[pos]].__getitem__, ids[:pos]))
-        # Display strings first: looking them up makes any missing key doc.
-        display_rows.append(list(map(text.__getitem__, keys)))
-        key_rows.append(list(map(text.key_docs.__getitem__, keys)))
-    return {"labels": [table.clusters[x].label for x in ids],
+def _matrix_doc(matrix: "ProximityMatrix", text: _CellText) -> dict:
+    # Display strings first: looking them up makes any missing key doc.
+    display_rows = [list(map(text.__getitem__, keys)) for keys in matrix.keys[1:]]
+    key_rows = [list(map(text.key_docs.__getitem__, keys)) for keys in matrix.keys[1:]]
+    return {"labels": [c.label for c in matrix.active],
             "display_values": display_rows, "exact_keys": key_rows}
 
 
@@ -252,7 +248,8 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     are included when the corresponding inputs are given.
 
     The snapshots of a sequential run hold O(n^3) cells, each one a
-    lookup: they are read from the engine's int distances, and every
+    lookup: they are read from each round's ``matrix_after.keys``, the
+    engine's int distances, without building its ``cells``; every
     distinct distance gets one display string and one ``{num, den}`` dict,
     so all cells at the same distance share one dict object.  The nested
     ``dendrogram`` is built without recursion, for trees of any depth.
@@ -272,9 +269,13 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "col_labels": list(pattern.col_labels),
             "rows": [list(row) for row in pattern.rows],
         }
-    text = _CellText(trace[0]._table.exact) if trace else None
-    doc["rounds"] = [
-        {
+    doc["rounds"] = []
+    text = None
+    for r in trace:
+        matrix = r.matrix_after
+        if text is None:
+            text = _CellText(matrix.exact)
+        doc["rounds"].append({
             "round": r.round_index,
             "min_display": r.min_key.display,
             "min_key": _key_doc(r.min_key.key),
@@ -285,10 +286,8 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
                 }
                 for m in r.merges
             ],
-            "matrix": _matrix_doc(r._table, r.round_index, text),
-        }
-        for r in trace
-    ]
+            "matrix": _matrix_doc(matrix, text),
+        })
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()

@@ -29,7 +29,8 @@ import enum
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple
 
 from .dendrogram import DendroNode, Dendrogram
 from .errors import ConfigError, ValidationError
@@ -52,33 +53,32 @@ def policy_from_name(name: str) -> MergePolicy:
 
 
 @dataclass(frozen=True)
-class ClusterId:
-    """A cluster handle: numeric id plus display label.
-
-    Ids 0..n-1 are the original rows (labelled by component name); merged
-    clusters get ids n, n+1, ... and labels C1, C2, ... in creation order.
-    """
-
-    id: int
-    label: str
-
-
-@dataclass(frozen=True)
 class ProximityMatrix:
     """Symmetric dissimilarity matrix over the clusters active at one point.
 
-    ``active`` is ascending by id; ``cells`` maps (i, j) with i < j to the
-    dissimilarity.  The diagonal is implicitly zero and never stored.
-    Built on request by ``initial_proximity`` and ``MergeRound.matrix_after``.
+    ``active`` is ascending by id; ``keys[p][q]``, q < p, is the engine's int
+    distance between ``active[p]`` and ``active[q]``, and ``exact`` maps each
+    int to its ``ExactDissimilarity``, one value shared by all cells at it.
+    ``cells`` maps (i, j) ids, i < j, to the dissimilarity; it is built on
+    first read.  The diagonal is implicitly zero and never stored.
     """
 
-    active: tuple[ClusterId, ...]
-    cells: dict[tuple[int, int], ExactDissimilarity]
+    active: tuple[DendroNode, ...]
+    keys: list[list[int]]
+    exact: Mapping[int, ExactDissimilarity] = field(repr=False, compare=False)
 
     def __post_init__(self):
         ids = [c.id for c in self.active]
         if ids != sorted(ids):
             raise ValidationError("active clusters must be ascending by id")
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], ExactDissimilarity]:
+        ids = [c.id for c in self.active]
+        cells: dict[tuple[int, int], ExactDissimilarity] = {}
+        for pos, (b, row) in enumerate(zip(ids, self.keys)):
+            cells.update(zip(((a, b) for a in ids[:pos]), map(self.exact.__getitem__, row)))
+        return cells
 
     def get(self, i: int, j: int) -> ExactDissimilarity:
         """Cell for two distinct active cluster ids, in either order."""
@@ -86,7 +86,7 @@ class ProximityMatrix:
             raise ValidationError("diagonal cells are not stored")
         return self.cells[(i, j) if i < j else (j, i)]
 
-    def pairs(self) -> Iterator[tuple[ClusterId, ClusterId, ExactDissimilarity]]:
+    def pairs(self) -> Iterator[tuple[DendroNode, DendroNode, ExactDissimilarity]]:
         """All unordered pairs in ascending lexicographic (i, j) id order."""
         for a_pos in range(len(self.active)):
             for b_pos in range(a_pos + 1, len(self.active)):
@@ -95,8 +95,8 @@ class ProximityMatrix:
 
 
 class Merge(NamedTuple):
-    new: ClusterId
-    constituents: tuple[ClusterId, ...]
+    new: DendroNode
+    constituents: tuple[DendroNode, ...]
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,11 @@ class MergeRound:
     def matrix_after(self) -> ProximityMatrix:
         """The proximity matrix after this round's merges.
 
-        Rebuilt on every access, in O(active^2) time, from distances the
-        engine keeps anyway; hold on to the result to read it twice.
-        ``dendrogram.to_structured`` does not use it: it reads the same
-        cells from the engine's int distances, one lookup per cell.
+        Rebuilt on every access from distances the engine keeps anyway: its
+        int ``keys`` in O(active^2) time, and its ``cells`` dict only when
+        read.  Hold on to the result to read it twice.
+        ``dendrogram.to_structured`` reads ``keys`` alone, so each trace
+        cell costs one lookup.
         """
         return self._table.snapshot(self.round_index)
 
@@ -147,22 +148,25 @@ def _pair_ints(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
 
 class _ExactKeys(dict):
     """Int distance -> ExactDissimilarity, made on first use by
-    ``metrics.distance`` on one leaf pair at that distance."""
+    ``metrics.distance`` on two made-up rows of ``width`` columns whose
+    mismatch and either-set counts the int stands for."""
 
-    def __init__(self, pattern: PatternMatrix, metric: Metric, rows: list[list[int]]):
+    def __init__(self, metric: Metric, width: int):
         super().__init__()
-        self._pattern_rows = pattern.rows
-        self._metric = metric
-        self._leaf_pair: dict[int, tuple[int, int]] = {}
-        for a, row in enumerate(rows):
-            for key in set(row):
-                if key not in self._leaf_pair:
-                    self._leaf_pair[key] = (a, row.index(key))
+        self._metric, self._width = metric, width
 
     def __missing__(self, key: int) -> ExactDissimilarity:
-        a, b = self._leaf_pair[key]
-        value = self[key] = distance(self._metric, self._pattern_rows[a],
-                                     self._pattern_rows[b])
+        width = self._width
+        if self._metric is Metric.JACCARD and key:
+            # Invert key = floor(x * W^2 / u): at the first u where
+            # x = ceil(key * u / W^2) gives the key back, x/u is its fraction.
+            scale = width * width
+            u = next(u for u in range(1, width + 1) if -(-key * u // scale) * scale // u == key)
+            x = -(-key * u // scale)
+        else:
+            x = u = key
+        row = [1] * u + [0] * (width - u)
+        value = self[key] = distance(self._metric, [0] * x + row[x:], row)
         return value
 
 
@@ -190,7 +194,8 @@ class _ClusterTable:
     rewritten, so the matrix after any round can be rebuilt later.  When a
     cluster is merged away its row keeps only the entries below its own id,
     the only ones a snapshot reads.  Entries for two clusters that were
-    never active together are meaningless.
+    never active together are meaningless.  ``clusters[x]`` is cluster x's
+    tree node; its ``round_index`` is the round that made it.
     """
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
@@ -199,21 +204,20 @@ class _ClusterTable:
             raise ValidationError("clustering needs at least 2 pattern rows")
         self.n_leaves = n
         self.rows = _pair_ints(pattern, metric)
-        self.exact = _ExactKeys(pattern, metric, self.rows)
-        self.clusters = [ClusterId(i, label) for i, label in enumerate(pattern.row_labels)]
+        self.exact = _ExactKeys(metric, pattern.n_cols)
+        self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
         self.active = list(range(n))
-        self.born = [0] * n
         self.ended = [_NEVER] * n
-        self.height = [0] * n
 
-    def merge(self, group: tuple[int, ...], key: int, round_index: int) -> ClusterId:
+    def merge(self, group: tuple[int, ...], key: int, round_index: int) -> DendroNode:
         """Replace the active clusters ``group`` (ascending ids) by a new
-        cluster at distance ``key``, using the single-linkage minimum rule."""
-        if any(self.height[g] > key for g in group):
-            raise ValidationError(
-                f"merge at {self.exact[key].display} would sit below one of its parts")
+        cluster at distance ``key``, using the single-linkage minimum rule,
+        and return its tree node."""
+        height = self.exact[key]
+        if any(self.clusters[g].height > height for g in group if g >= self.n_leaves):
+            raise ValidationError(f"merge at {height.display} would sit below one of its parts")
         new_id = len(self.clusters)
-        new = ClusterId(new_id, f"C{new_id - self.n_leaves + 1}")
+        new = DendroNode(new_id, f"C{new_id - self.n_leaves + 1}", group, height, round_index)
         rows, active = self.rows, self.active
         row = rows[group[0]]
         for g in group[1:]:
@@ -228,26 +232,19 @@ class _ClusterTable:
         rows.append(row)
         active.append(new_id)
         self.clusters.append(new)
-        self.born.append(round_index)
         self.ended.append(_NEVER)
-        self.height.append(key)
         return new
 
-    def active_after(self, round_index: int) -> list[int]:
-        """Ascending ids of the clusters active after a round (round 0: the
-        original rows)."""
-        return [x for x in range(len(self.clusters))
-                if self.born[x] <= round_index < self.ended[x]]
-
     def snapshot(self, round_index: int) -> ProximityMatrix:
-        """The proximity matrix over the clusters active after a round."""
-        ids = self.active_after(round_index)
-        cells: dict[tuple[int, int], ExactDissimilarity] = {}
-        for pos, b in enumerate(ids):
-            lower = ids[:pos]
-            cells.update(zip(((a, b) for a in lower),
-                             map(self.exact.__getitem__, map(self.rows[b].__getitem__, lower))))
-        return ProximityMatrix(tuple(self.clusters[x] for x in ids), cells)
+        """The proximity matrix over the clusters active after a round
+        (round 0: the original rows)."""
+        ids = [c.id for c, end in zip(self.clusters, self.ended)
+               if (c.round_index or 0) <= round_index < end]
+        rows = self.rows
+        return ProximityMatrix(tuple(map(self.clusters.__getitem__, ids)),
+                               [list(map(rows[b].__getitem__, ids[:pos]))
+                                for pos, b in enumerate(ids)],
+                               self.exact)
 
 
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
@@ -291,7 +288,9 @@ def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
             continue
         partner = near_id[c]
         if partner in taken:
-            partner = next((b for b in _ids_at(table.rows[c], active[pos + 1:], low)
+            # The ids between c and its partner are farther than `low`.
+            start = bisect_left(active, partner) + 1
+            partner = next((b for b in _ids_at(table.rows[c], active[start:], low)
                             if b not in taken), None)
             if partner is None:
                 continue
@@ -304,25 +303,24 @@ def cluster(pattern: PatternMatrix, metric: Metric,
             policy: MergePolicy = MergePolicy.SEQUENTIAL) -> ClusterResult:
     """Run the full agglomeration and return the merge tree plus round trace.
 
-    Merged-cluster labels C1, C2, ... follow creation order within and
-    across rounds.  Each round's ``matrix_after`` is rebuilt from the
-    engine's distances on every access rather than stored, so the engine
-    needs O(n^2) time and memory for n pattern rows; reading every round's
-    matrix costs O(n^3) for the sequential policy.  The trace document
-    holds those O(n^3) cells too, but builds each one with a lookup.
+    Leaves 0..n-1 keep the row labels; merged clusters get ids n, n+1, ...
+    and labels C1, C2, ... in creation order within and across rounds.  One
+    ``DendroNode`` per cluster serves the tree, ``Merge`` and
+    ``ProximityMatrix.active``.  The engine needs O(n^2) time and memory for
+    n pattern rows: a round's ``matrix_after`` is rebuilt from its int
+    distances when read, and its ``cells`` dict only when that is read, so
+    reading every round's matrix of a sequential run costs O(n^3).
     """
     table = _ClusterTable(pattern, metric)
     rows, active = table.rows, table.active
     n = pattern.n_rows
     # near_key[c], near_id[c]: c's nearest partner among the active clusters
-    # with a larger id, the smallest id on a tie; `far` when there is none.
-    far = max(map(max, rows)) + 1
-    near_key = [far] * (2 * n - 1)
+    # with a larger id, the smallest id on a tie; `_NEVER` when there is none.
+    near_key = [_NEVER] * (2 * n - 1)
     near_id: list[int | None] = [None] * (2 * n - 1)
     for c in range(n - 1):
         near_key[c] = min(rows[c][c + 1:])
         near_id[c] = rows[c].index(near_key[c], c + 1)
-    nodes: dict[int, DendroNode] = {c.id: DendroNode(c.id, c.label) for c in table.clusters}
     trace: list[MergeRound] = []
     round_index = 0
     while len(active) > 1:
@@ -339,7 +337,6 @@ def cluster(pattern: PatternMatrix, metric: Metric,
         merges = []
         for group in groups:
             new = table.merge(group, low, round_index)
-            nodes[new.id] = DendroNode(new.id, new.label, group, height, round_index)
             merges.append(Merge(new, tuple(table.clusters[g] for g in group)))
             to_new = rows[new.id]
             for c in active[:-1]:
@@ -354,5 +351,5 @@ def cluster(pattern: PatternMatrix, metric: Metric,
                     start = bisect_left(active, near_id[c])
                     near_id[c] = next(_ids_at(rows[c], active[start:], near_key[c]))
         trace.append(MergeRound(round_index, height, tuple(merges), table))
-    dend = Dendrogram(nodes, root=active[0], n_leaves=n)
+    dend = Dendrogram(dict(enumerate(table.clusters)), root=active[0], n_leaves=n)
     return ClusterResult(dend, tuple(trace))

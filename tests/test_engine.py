@@ -11,6 +11,7 @@ from objident import (
     ValidationError,
     cluster,
     cut_k,
+    distance,
     initial_proximity,
     policy_from_name,
 )
@@ -324,3 +325,18 @@ def test_proximity_matrix_diagonal_not_stored(stacks):
     assert len(prox.cells) == 45
     with pytest.raises(ValidationError):
         prox.get(0, 0)
+
+
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+def test_exact_keys_invert_every_int(metric):
+    # Rows b_0..b_W with b_v = v leading ones: b_(u-x) and b_u differ in x
+    # columns and have u set between them, so their int is the one for
+    # (x, u), for every 0 <= x <= u <= W.
+    for width in range(metric is Metric.SIMPLE_MATCHING, 41):
+        rows = [(1,) * v + (0,) * (width - v) for v in range(width + 1)]
+        ints = engine._pair_ints(make_pattern(rows), metric)
+        exact = engine._ExactKeys(metric, width)
+        for u in range(width + 1):
+            for x in range(u + 1):
+                assert exact[ints[u - x][u]] == distance(metric, rows[u - x], rows[u]), \
+                    (width, x, u)
