@@ -8,7 +8,9 @@ Two merge policies are provided:
 * PAPER_REPRO: a round-based variant.  When the global minimum is exactly
   zero, every connected component of the zero-dissimilarity graph merges as
   one multiway cluster; otherwise disjoint minimum pairs are picked greedily
-  in ascending (i, j) id order.  Several merges can happen per round.
+  in ascending (i, j) id order.  Several merges can happen per round.  A
+  distance is zero only between identical rows, so the zero components are
+  the classes of identical rows, and only the first round can have them.
 
 Both are deterministic given the input row order.  Ties are decided
 exactly, never by float luck: the engine compares ints whose order and
@@ -20,7 +22,10 @@ The engine keeps, for each active cluster, its nearest partner among the
 active clusters with a larger id (the smallest such id on a tie).  A new
 cluster always takes the largest id, so after a merge only the rows whose
 partner was consumed need a search; every other row compares against the
-new cluster alone.  Time and memory are O(n^2) for n pattern rows.
+new cluster alone.  Every tie is found by one scan, ``_ClusterTable.next_at``.
+Memory is O(n^2) for n pattern rows.  Time is O(n^2) when ties are rare,
+and up to O(n^3) on tie-heavy rows, where the paper policy's greedy
+matching can rescan a row to its end in every round.
 """
 
 from __future__ import annotations
@@ -170,18 +175,6 @@ class _ExactKeys(dict):
         return value
 
 
-def _ids_at(row: list[int], ids: list[int], key: int) -> Iterator[int]:
-    """The ids, in the given order, whose distance in ``row`` equals ``key``."""
-    values = list(map(row.__getitem__, ids))
-    at = -1
-    while True:
-        try:
-            at = values.index(key, at + 1)
-        except ValueError:
-            return
-        yield ids[at]
-
-
 _NEVER = sys.maxsize
 
 
@@ -235,6 +228,19 @@ class _ClusterTable:
         self.ended.append(_NEVER)
         return new
 
+    def next_at(self, c: int, key: int, after: int, skip=()) -> int | None:
+        """The smallest active id above ``after``, not in ``skip``, whose
+        distance from cluster ``c`` is ``key``; None if there is none."""
+        row, ended = self.rows[c], self.ended
+        at = after
+        while True:
+            try:
+                at = row.index(key, at + 1)
+            except ValueError:
+                return None
+            if ended[at] == _NEVER and at not in skip:
+                return at
+
     def snapshot(self, round_index: int) -> ProximityMatrix:
         """The proximity matrix over the clusters active after a round
         (round 0: the original rows)."""
@@ -252,46 +258,30 @@ def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix
     return _ClusterTable(pattern, metric).snapshot(0)
 
 
-def _zero_components(table: _ClusterTable, near_key: list) -> list[tuple[int, ...]]:
-    """Connected components of the zero-distance graph over the active
-    clusters: ascending ids, ordered by smallest member."""
-    parent: dict[int, int] = {}
-
-    def root(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
-
-    active = table.active
-    for pos, c in enumerate(active):
-        if near_key[c] == 0:
-            for b in _ids_at(table.rows[c], active[pos + 1:], 0):
-                top_c, top_b = root(c), root(b)
-                if top_c != top_b:
-                    parent[max(top_c, top_b)] = min(top_c, top_b)
-    groups: dict[int, list[int]] = {}
-    for c in active:
-        if c in parent:
-            groups.setdefault(root(c), []).append(c)
-    return sorted((top, *rest) for top, rest in groups.items())
+def _copies(pattern: PatternMatrix) -> list[tuple[int, ...]]:
+    """The classes of identical pattern rows with more than one member:
+    ascending ids, ordered by smallest member.  The int distance is 0
+    exactly for identical rows, so these are the zero-distance components
+    of the first round, and no zero distance is left once they merge."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(pattern.rows):
+        classes.setdefault(row, []).append(i)
+    return [tuple(ids) for ids in classes.values() if len(ids) > 1]
 
 
 def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
                   low: int) -> list[tuple[int, int]]:
     """Disjoint pairs at distance ``low``, taken greedily in ascending
     (i, j) id order."""
-    active = table.active
     taken: set[int] = set()
     pairs = []
-    for pos, c in enumerate(active):
+    for c in table.active:
         if near_key[c] != low or c in taken:
             continue
         partner = near_id[c]
         if partner in taken:
             # The ids between c and its partner are farther than `low`.
-            start = bisect_left(active, partner) + 1
-            partner = next((b for b in _ids_at(table.rows[c], active[start:], low)
-                            if b not in taken), None)
+            partner = table.next_at(c, low, partner, taken)
             if partner is None:
                 continue
         pairs.append((c, partner))
@@ -306,8 +296,9 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     Leaves 0..n-1 keep the row labels; merged clusters get ids n, n+1, ...
     and labels C1, C2, ... in creation order within and across rounds.  One
     ``DendroNode`` per cluster serves the tree, ``Merge`` and
-    ``ProximityMatrix.active``.  The engine needs O(n^2) time and memory for
-    n pattern rows: a round's ``matrix_after`` is rebuilt from its int
+    ``ProximityMatrix.active``.  The engine needs O(n^2) memory for n
+    pattern rows, and O(n^2) time when ties are rare, up to O(n^3) on
+    tie-heavy rows.  A round's ``matrix_after`` is rebuilt from its int
     distances when read, and its ``cells`` dict only when that is read, so
     reading every round's matrix of a sequential run costs O(n^3).
     """
@@ -320,7 +311,7 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     near_id: list[int | None] = [None] * (2 * n - 1)
     for c in range(n - 1):
         near_key[c] = min(rows[c][c + 1:])
-        near_id[c] = rows[c].index(near_key[c], c + 1)
+        near_id[c] = table.next_at(c, near_key[c], c)
     trace: list[MergeRound] = []
     round_index = 0
     while len(active) > 1:
@@ -331,7 +322,7 @@ def cluster(pattern: PatternMatrix, metric: Metric,
             groups = [(first, near_id[first])]
         else:
             low = min(map(near_key.__getitem__, active))
-            groups = (_zero_components(table, near_key) if low == 0
+            groups = (_copies(pattern) if low == 0
                       else _greedy_pairs(table, near_key, near_id, low))
         height = table.exact[low]
         merges = []
@@ -348,8 +339,7 @@ def cluster(pattern: PatternMatrix, metric: Metric,
                     # itself, at the latest).  The old partner was the
                     # smallest such id and distances to surviving clusters
                     # never change, so the scan starts past it.
-                    start = bisect_left(active, near_id[c])
-                    near_id[c] = next(_ids_at(rows[c], active[start:], near_key[c]))
+                    near_id[c] = table.next_at(c, near_key[c], near_id[c])
         trace.append(MergeRound(round_index, height, tuple(merges), table))
     dend = Dendrogram(dict(enumerate(table.clusters)), root=active[0], n_leaves=n)
     return ClusterResult(dend, tuple(trace))

@@ -65,19 +65,8 @@ def _scalar_text(value) -> str | None:
 def _key_text(key) -> str:
     """json's text for a dict key: str, float, bool, None and int keys all
     become strings."""
-    if isinstance(key, str):
-        text = key
-    elif isinstance(key, float):
-        text = _float_text(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
         raise TypeError(f"keys must be str, int, float, bool or None, "
                         f"not {key.__class__.__name__}")
     return _encode_str(text)
@@ -303,7 +292,10 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
     all.  Nothing is renamed until every write has succeeded, and a failure
     removes every temp file, so a failed call leaves no output behind.  A
     target that is a directory, which would fail only at its rename, is
-    refused before anything is written."""
+    refused before anything is written.  Each file gets the mode a plain
+    ``open(path, "w")`` would give it, 0o666 less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
     staged: list[tuple[str, Path]] = []
     path = None
     try:
@@ -316,6 +308,7 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
                 staged.append((tmp, path))
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    os.fchmod(fd, 0o666 & ~umask)
                     handle.write(text)
             for tmp, path in staged:
                 os.replace(tmp, path)
@@ -385,6 +378,13 @@ class RunConfig:
     def __post_init__(self):
         if self.report_path is not None and self.cut is None:
             raise ConfigError("--report requires --cut (a report labels a flat partition)")
+        flags: dict[str, str] = {}
+        for flag, path in (("--trace", self.trace_path), ("--dendrogram", self.dendrogram_path),
+                           ("--report", self.report_path)):
+            if path is not None:
+                other = flags.setdefault(os.path.realpath(path), flag)
+                if other != flag:
+                    raise ConfigError(f"{other} and {flag} name the same file {str(path)!r}")
 
 
 def _summary_lines(config: RunConfig, pattern, trace, partition, report) -> list[str]:

@@ -119,6 +119,23 @@ def test_undeclared_uses_name_is_parse_error(tmp_path, capsys):
     assert f"line 2, column {proto.index('queue') + 1}" in err
 
 
+@pytest.mark.parametrize("first, second", [
+    (("--trace", "o.json"), ("--report", "o.json")),
+    (("--trace", "t.json"), ("--dendrogram", "./t.json")),
+])
+def test_two_outputs_on_one_path_is_config_error(tmp_path, monkeypatch, capsys,
+                                                 first, second):
+    # The input does not exist, so exit 2 rather than 5 shows the clash is
+    # refused before the input is read.
+    monkeypatch.chdir(tmp_path)
+    code = main(["cluster", "--input", "absent.json", "--kind", "components",
+                 "--cut", "k:2", *first, *second])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: {first[0]} and {second[0]} name the same file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_linkage_flag(tmp_path, capsys):
     assert main(cluster_args(tmp_path, "--linkage", "complete")) == 2
     assert "error[config]" in capsys.readouterr().err

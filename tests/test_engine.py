@@ -247,12 +247,18 @@ def test_star_tie_order_matches_oracle_both_policies(metric):
     # the mismatch-count metrics every one-bit row is nearest the empty row
     # and ties with all the others; under Jaccard every pair ties.  Most
     # merges take away some rows' partner, so the partner repair decides
-    # the tree.
+    # the tree.  The same rows with copies (a second empty row, and one
+    # one-bit row three times) add a zero round under the paper policy and
+    # leave dead clusters at the repeated distances of every row.
     for width in range(1, 8):
         one_bit = [tuple(int(i == j) for i in range(width)) for j in range(width)]
         for empty_at in sorted({0, width // 2, width}):
             rows = one_bit[:empty_at] + [(0,) * width] + one_bit[empty_at:]
             assert_matches_oracle(rows, metric)
+            half = len(rows) // 2
+            copy = one_bit[width // 2]
+            assert_matches_oracle(
+                [copy] + rows[:half] + [copy] + rows[half:] + [(0,) * width], metric)
 
 
 def test_euclidean_manhattan_identical_traces():

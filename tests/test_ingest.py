@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,17 @@ def test_write_text_atomic_writes_and_replaces(tmp_path):
     write_text_atomic(target, "two")
     assert target.read_text() == "two"
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_write_text_atomic_mode_follows_umask(tmp_path, umask):
+    # The same mode a plain open(path, "w") gives a new file.
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "out.txt", "data")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def stacks_config(tmp_path, **kwargs):
