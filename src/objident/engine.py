@@ -18,6 +18,12 @@ equality match the metric's exact rational keys, and exact
 ``ExactDissimilarity`` values are made from ``metrics.distance`` for the
 merge heights and for the snapshots a caller reads.
 
+The pair table is built once per distinct pattern row: identical rows are
+grouped, each distinct row is packed into an int once, and distances are
+computed only between distinct rows, then spread to every leaf's own list.
+A merge at distance zero joins identical rows, so it copies one part's row
+instead of taking an elementwise minimum.
+
 The engine keeps, for each active cluster, its nearest partner among the
 active clusters with a larger id (the smallest such id on a tie).  A new
 cluster always takes the largest id, so after a merge only the rows whose
@@ -132,23 +138,51 @@ class ClusterResult(NamedTuple):
     trace: tuple[MergeRound, ...]
 
 
-def _pair_ints(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
+def _row_classes(pattern: PatternMatrix) -> list[list[int]]:
+    """Leaf ids grouped by identical pattern row, in order of first
+    appearance: each class is ascending, and the classes are ordered by
+    their smallest member."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(pattern.rows):
+        classes.setdefault(row, []).append(i)
+    return list(classes.values())
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pair_ints(pattern: PatternMatrix, metric: Metric,
+               classes: list[list[int]]) -> list[list[int]]:
     """All pairwise distances between pattern rows as ints that order and
-    tie exactly like the metric's keys."""
-    packed = [int("".join(map(str, row)) or "0", 2) for row in pattern.rows]
+    tie exactly like the metric's keys, one list per leaf.
+
+    ``classes`` is ``_row_classes(pattern)``: each distinct row is packed
+    once, and distances are computed only between distinct rows."""
+    packed = [int(bytes(pattern.rows[ids[0]]).translate(_DIGITS) or b"0", 2)
+              for ids in classes]
     if metric is not Metric.JACCARD:
         # The Euclidean (squared), Manhattan and SMC keys are the mismatch
         # count or a fixed multiple of it.
-        return [[(a ^ b).bit_count() for b in packed] for a in packed]
-    # Jaccard is x/u with x mismatches and u <= W set columns.  Two distinct
-    # fractions with denominators <= W differ by at least 1/W^2, so
-    # floor(x * W^2 / u) orders and ties exactly like x/u.
-    width = pattern.n_cols
-    scale = width * width
-    table = [[x * scale // u if u else 0 for u in range(width + 1)]
-             for x in range(width + 1)]
-    return [[table[(a ^ b).bit_count()][(a | b).bit_count()] for b in packed]
-            for a in packed]
+        table = [[(a ^ b).bit_count() for b in packed] for a in packed]
+    else:
+        # Jaccard is x/u with x mismatches and u <= W set columns.  Two
+        # distinct fractions with denominators <= W differ by at least 1/W^2,
+        # so floor(x * W^2 / u) orders and ties exactly like x/u.  No pair
+        # has more set columns than twice the heaviest row.
+        width = pattern.n_cols
+        scale = width * width
+        top = min(width, 2 * max(a.bit_count() for a in packed))
+        keys = [[x * scale // u if u else 0 for u in range(top + 1)]
+                for x in range(top + 1)]
+        table = [[keys[(a ^ b).bit_count()][(a | b).bit_count()] for b in packed]
+                 for a in packed]
+    if len(classes) == pattern.n_rows:
+        return table
+    of = [0] * pattern.n_rows
+    for c, ids in enumerate(classes):
+        for i in ids:
+            of[i] = c
+    return [list(map(table[c].__getitem__, of)) for c in of]
 
 
 class _ExactKeys(dict):
@@ -196,7 +230,12 @@ class _ClusterTable:
         if n < 2:
             raise ValidationError("clustering needs at least 2 pattern rows")
         self.n_leaves = n
-        self.rows = _pair_ints(pattern, metric)
+        classes = _row_classes(pattern)
+        self.rows = _pair_ints(pattern, metric, classes)
+        # The int distance is 0 exactly for identical rows, so the classes
+        # with more than one member are the zero-distance components of the
+        # first round, and no zero distance is left once they merge.
+        self.copies = [tuple(ids) for ids in classes if len(ids) > 1]
         self.exact = _ExactKeys(metric, pattern.n_cols)
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
         self.active = list(range(n))
@@ -212,9 +251,16 @@ class _ClusterTable:
         new_id = len(self.clusters)
         new = DendroNode(new_id, f"C{new_id - self.n_leaves + 1}", group, height, round_index)
         rows, active = self.rows, self.active
-        row = rows[group[0]]
-        for g in group[1:]:
-            row = [a if a < b else b for a, b in zip(row, rows[g])]
+        if key == 0:
+            # A zero key means identical pattern rows, and heights never
+            # fall, so every cluster made at height 0 holds identical rows:
+            # the parts' rows agree at every active id, and any one of them
+            # is the minimum there.
+            row = rows[group[0]].copy()
+        else:
+            row = rows[group[0]]
+            for g in group[1:]:
+                row = [a if a < b else b for a, b in zip(row, rows[g])]
         row.append(0)
         for g in group:
             del active[bisect_left(active, g)]
@@ -256,17 +302,6 @@ class _ClusterTable:
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
     """Pairwise dissimilarities between all original pattern rows."""
     return _ClusterTable(pattern, metric).snapshot(0)
-
-
-def _copies(pattern: PatternMatrix) -> list[tuple[int, ...]]:
-    """The classes of identical pattern rows with more than one member:
-    ascending ids, ordered by smallest member.  The int distance is 0
-    exactly for identical rows, so these are the zero-distance components
-    of the first round, and no zero distance is left once they merge."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(pattern.rows):
-        classes.setdefault(row, []).append(i)
-    return [tuple(ids) for ids in classes.values() if len(ids) > 1]
 
 
 def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
@@ -322,7 +357,7 @@ def cluster(pattern: PatternMatrix, metric: Metric,
             groups = [(first, near_id[first])]
         else:
             low = min(map(near_key.__getitem__, active))
-            groups = (_copies(pattern) if low == 0
+            groups = (table.copies if low == 0
                       else _greedy_pairs(table, near_key, near_id, low))
         height = table.exact[low]
         merges = []

@@ -349,9 +349,12 @@ def parse_cut_spec(text: str) -> tuple[str, int | Fraction]:
         raise ConfigError(f"invalid cut spec {text!r} (expected k:<int> or h:<decimal>)")
     if mode == "k":
         try:
-            return "k", int(value)
+            size = int(value)
         except ValueError:
             raise ConfigError(f"invalid cut size {value!r}") from None
+        if size < 1:
+            raise ConfigError("cut size must be >= 1")
+        return "k", size
     try:
         height = Fraction(value)
     except (ValueError, ZeroDivisionError):

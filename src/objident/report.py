@@ -86,10 +86,9 @@ def label_clusters(partition: Sequence, pattern: PatternMatrix,
     entries = []
     for label, members in groups:
         rows = [row_of[name] for name in members]
-        counts = {
-            t: sum(row[c] for row in rows for c in cols)
-            for t, cols in subject_columns.items()
-        }
+        sums = list(map(sum, zip(*rows))) if rows else [0] * pattern.n_cols
+        counts = {t: sum(map(sums.__getitem__, cols))
+                  for t, cols in subject_columns.items()}
         total = sum(counts.values())
         best = max(counts.values())
         tied = tuple(t for t in schema.subject_types if counts[t] == best)

@@ -136,6 +136,18 @@ def test_two_outputs_on_one_path_is_config_error(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_cut_size_below_one_is_config_error(tmp_path, monkeypatch, capsys, size):
+    # The input does not exist, so exit 2 rather than 5 shows the size is
+    # refused before the input is read.
+    monkeypatch.chdir(tmp_path)
+    code = main(["cluster", "--input", "absent.json", "--kind", "components",
+                 "--cut", f"k:{size}", "--trace", "t.json", "--report", "r.json"])
+    assert code == 2
+    assert "error[config]: cut size must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_linkage_flag(tmp_path, capsys):
     assert main(cluster_args(tmp_path, "--linkage", "complete")) == 2
     assert "error[config]" in capsys.readouterr().err

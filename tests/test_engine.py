@@ -51,6 +51,10 @@ def make_pattern(rows, labels=None):
     return pattern
 
 
+def pair_ints(pattern, metric):
+    return engine._pair_ints(pattern, metric, engine._row_classes(pattern))
+
+
 def by_label(prox, a, b):
     ids = {c.label: c.id for c in prox.active}
     return prox.get(ids[a], ids[b])
@@ -340,9 +344,37 @@ def test_exact_keys_invert_every_int(metric):
     # (x, u), for every 0 <= x <= u <= W.
     for width in range(metric is Metric.SIMPLE_MATCHING, 41):
         rows = [(1,) * v + (0,) * (width - v) for v in range(width + 1)]
-        ints = engine._pair_ints(make_pattern(rows), metric)
+        ints = pair_ints(make_pattern(rows), metric)
         exact = engine._ExactKeys(metric, width)
         for u in range(width + 1):
             for x in range(u + 1):
                 assert exact[ints[u - x][u]] == distance(metric, rows[u - x], rows[u]), \
                     (width, x, u)
+
+
+def per_pair_int(metric, a, b):
+    """The engine's int for two rows, computed on its own."""
+    x = sum(p != q for p, q in zip(a, b))
+    if metric is not Metric.JACCARD:
+        return x
+    u = sum(p | q for p, q in zip(a, b))
+    return x * len(a) ** 2 // u if u else 0
+
+
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
+    rng = random.Random(11)
+    width = 6
+    for _ in range(40):
+        distinct = {tuple(rng.randint(0, 1) for _ in range(width))
+                    for _ in range(rng.randint(1, 6))}
+        rows = [*distinct, *rng.choices(sorted(distinct), k=rng.randint(1, 8))]
+        rng.shuffle(rows)
+        ints = pair_ints(make_pattern(rows), metric)
+        assert ints == [[per_pair_int(metric, a, b) for b in rows] for a in rows]
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            if rows[i] == rows[j]:
+                before = list(ints[j])
+                ints[i][j] = -1
+                ints[i].append(-1)
+                assert ints[j] == before

@@ -8,7 +8,7 @@ from objident import (
     build_pattern_matrix,
     derive_relations,
 )
-from objident.features import RelationKind
+from objident.features import Relation, RelationKind, RelationSchema
 
 from conftest import STACK_QUEUE_GOLD_ROWS, STACKS_GOLD_ROWS
 
@@ -86,17 +86,43 @@ def test_stack_queue_pattern_matches_golden(stack_queue):
     assert stack_queue.pattern.rows == tuple(STACK_QUEUE_GOLD_ROWS.values())
 
 
+def holds(record, relation):
+    """Per-cell reference: whether the record has the relation's fact."""
+    if relation.kind is RelationKind.RETURNS:
+        return record.returns == relation.subject
+    if relation.kind is RelationKind.HAS_ARG:
+        return relation.subject in record.args
+    return relation.subject in record.uses_fields
+
+
 def test_returns_block_has_at_most_one_bit():
     rng = random.Random(7)
     subjects = ["a", "b", "c"]
     schema = derive_relations(subjects)
+    # A hand-built schema may repeat a (kind, subject) column, or name a
+    # non-subject type; every such column gets the bit its predicate holds.
+    repeated = RelationSchema(tuple(subjects), (
+        Relation(RelationKind.HAS_ARG, "b", "X0"),
+        *schema.relations[:4],
+        Relation(RelationKind.RETURNS, "a", "X1"),
+        Relation(RelationKind.HAS_ARG, "b", "X2"),
+        Relation(RelationKind.HAS_ARG, "int", "X3"),
+        *schema.relations[4:],
+        Relation(RelationKind.USES_FIELD, "c", "X4"),
+    ))
+    records = []
     for case in range(50):
         returns = rng.choice([None, "int", *subjects])
         args = tuple(rng.choice(["int", *subjects]) for _ in range(rng.randrange(4)))
         uses = frozenset(s for s in subjects if rng.random() < 0.5)
-        record = ComponentRecord(f"f{case}", returns, args, uses)
-        row = build_pattern_matrix([record], schema).rows[0]
-        assert sum(row[:len(subjects)]) <= 1
+        records.append(ComponentRecord(f"f{case}", returns, args, uses))
+    for each in (schema, repeated):
+        rows = build_pattern_matrix(records, each).rows
+        assert rows == tuple(tuple(int(holds(record, relation)) for relation in each.relations)
+                             for record in records)
+    rows = build_pattern_matrix(records, schema).rows
+    assert all(sum(row[:len(subjects)]) <= 1 for row in rows)
+    assert any(sum(row[:len(subjects)]) == 1 for row in rows)
 
 
 def test_rebuild_is_deterministic(stacks):

@@ -128,7 +128,7 @@ def test_canonical_json_rejects_cycles():
 def test_parse_cut_spec():
     assert parse_cut_spec("k:3") == ("k", 3)
     assert parse_cut_spec("h:1.5") == ("h", Fraction(3, 2))
-    for bad in ("k", "q:3", "k:x", "h:tall", "h:-1", "3"):
+    for bad in ("k", "q:3", "k:x", "k:0", "k:-2", "h:tall", "h:-1", "3"):
         with pytest.raises(ConfigError):
             parse_cut_spec(bad)
 
