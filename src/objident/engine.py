@@ -14,24 +14,24 @@ Two merge policies are provided:
 
 Both are deterministic given the input row order.  Ties are decided
 exactly, never by float luck: the engine compares ints whose order and
-equality match the metric's exact rational keys, and exact
-``ExactDissimilarity`` values are made from ``metrics.distance`` for the
-merge heights and for the snapshots a caller reads.
+equality match the metric's exact rational keys, and ``metrics.distance``
+makes the ``ExactDissimilarity`` of each int that a height or snapshot shows.
 
-The pair table is built once per distinct pattern row: identical rows are
-grouped, each distinct row is packed into an int once, and distances are
-computed only between distinct rows, then spread to every leaf's own list.
-A merge at distance zero joins identical rows, so it copies one part's row
-instead of taking an elementwise minimum.
+The pair table is built once per distinct pattern row, and a merge at
+distance zero, of identical rows, keeps one part's row instead of taking a
+minimum.  Each active cluster keeps its nearest partner among the larger
+ids (the smallest id on a tie).  A new cluster takes the largest id, so a
+merge searches only the rows whose partner it consumed, and every tie is
+found by one scan, ``_ClusterTable.next_at``.  Time is O(n^2) when ties are
+rare and up to O(n^3) on tie-heavy rows, where the paper policy's greedy
+matching can rescan a row in every round.
 
-The engine keeps, for each active cluster, its nearest partner among the
-active clusters with a larger id (the smallest such id on a tie).  A new
-cluster always takes the largest id, so after a merge only the rows whose
-partner was consumed need a search; every other row compares against the
-new cluster alone.  Every tie is found by one scan, ``_ClusterTable.next_at``.
-Memory is O(n^2) for n pattern rows.  Time is O(n^2) when ties are rare,
-and up to O(n^3) on tie-heavy rows, where the paper policy's greedy
-matching can rescan a row to its end in every round.
+The engine keeps only the live distances: O(n^2) memory for n pattern
+rows, half of what keeping every round's distances takes.  A round's
+proximity matrix is re-derived from the merge list (Müllner, arXiv:1109.2378)
+by a replay that applies the merges, through the engine's own ``merge``, to
+a second table built on the first read.  Reading rounds in order costs
+O(active^2) each; going back to an earlier round restarts the replay.
 """
 
 from __future__ import annotations
@@ -118,19 +118,16 @@ class MergeRound:
     round_index: int
     min_key: ExactDissimilarity
     merges: tuple[Merge, ...]
-    _table: "_ClusterTable" = field(repr=False, compare=False)
+    _replay: "_Replay" = field(repr=False, compare=False)
 
     @property
     def matrix_after(self) -> ProximityMatrix:
-        """The proximity matrix after this round's merges.
-
-        Rebuilt on every access from distances the engine keeps anyway: its
-        int ``keys`` in O(active^2) time, and its ``cells`` dict only when
-        read.  Hold on to the result to read it twice.
-        ``dendrogram.to_structured`` reads ``keys`` alone, so each trace
-        cell costs one lookup.
-        """
-        return self._table.snapshot(self.round_index)
+        """The proximity matrix after this round's merges, rebuilt on every
+        access by the run's replay: its int ``keys`` in O(active^2) time when
+        rounds are read in order (an earlier round restarts the replay), its
+        ``cells`` dict only when read.  Hold on to the result to read it
+        twice.  ``dendrogram.to_structured`` reads ``keys`` alone."""
+        return self._replay.matrix_after(self.round_index)
 
 
 class ClusterResult(NamedTuple):
@@ -213,95 +210,97 @@ _NEVER = sys.maxsize
 
 
 class _ClusterTable:
-    """Every cluster an agglomeration has made, and the distances between them.
-
-    ``rows[x][y]`` is the int distance between clusters x and y for any two
-    that were active at the same time.  A row gets one entry for each
-    cluster made while its own cluster is active, and no entry is ever
-    rewritten, so the matrix after any round can be rebuilt later.  When a
-    cluster is merged away its row keeps only the entries below its own id,
-    the only ones a snapshot reads.  Entries for two clusters that were
-    never active together are meaningless.  ``clusters[x]`` is cluster x's
-    tree node; its ``round_index`` is the round that made it.
-    """
+    """The active clusters of an agglomeration and the int distances between
+    them: ``rows[x][y]`` for active x and y.  A new cluster takes the next
+    id; a merged-away cluster's row is freed (None), and the entries at its
+    id in other rows are stale."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
-        n = pattern.n_rows
-        if n < 2:
+        if pattern.n_rows < 2:
             raise ValidationError("clustering needs at least 2 pattern rows")
-        self.n_leaves = n
         classes = _row_classes(pattern)
-        self.rows = _pair_ints(pattern, metric, classes)
+        self.rows: list[list[int] | None] = _pair_ints(pattern, metric, classes)
         # The int distance is 0 exactly for identical rows, so the classes
         # with more than one member are the zero-distance components of the
         # first round, and no zero distance is left once they merge.
         self.copies = [tuple(ids) for ids in classes if len(ids) > 1]
         self.exact = _ExactKeys(metric, pattern.n_cols)
-        self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
-        self.active = list(range(n))
-        self.ended = [_NEVER] * n
+        self.active = list(range(pattern.n_rows))
 
-    def merge(self, group: tuple[int, ...], key: int, round_index: int) -> DendroNode:
-        """Replace the active clusters ``group`` (ascending ids) by a new
-        cluster at distance ``key``, using the single-linkage minimum rule,
-        and return its tree node."""
-        height = self.exact[key]
-        if any(self.clusters[g].height > height for g in group if g >= self.n_leaves):
-            raise ValidationError(f"merge at {height.display} would sit below one of its parts")
-        new_id = len(self.clusters)
-        new = DendroNode(new_id, f"C{new_id - self.n_leaves + 1}", group, height, round_index)
+    def merge(self, group: tuple[int, ...], key) -> None:
+        """Merge the active clusters ``group`` (ascending ids), ``key`` apart
+        (an int or exact key), into one by the single-linkage row minimum."""
         rows, active = self.rows, self.active
-        if key == 0:
-            # A zero key means identical pattern rows, and heights never
-            # fall, so every cluster made at height 0 holds identical rows:
-            # the parts' rows agree at every active id, and any one of them
-            # is the minimum there.
-            row = rows[group[0]].copy()
-        else:
-            row = rows[group[0]]
+        # A zero key means identical rows, and heights never fall, so the
+        # parts' rows agree at every active id: the first is the minimum.
+        row = rows[group[0]]
+        if key:
             for g in group[1:]:
                 row = [a if a < b else b for a, b in zip(row, rows[g])]
         row.append(0)
         for g in group:
             del active[bisect_left(active, g)]
-            del rows[g][g:]  # a snapshot reads a row only below its own id
-            self.ended[g] = round_index
+            rows[g] = None
         for k in active:
             rows[k].append(row[k])
+        active.append(len(rows))
         rows.append(row)
-        active.append(new_id)
-        self.clusters.append(new)
-        self.ended.append(_NEVER)
-        return new
 
     def next_at(self, c: int, key: int, after: int, skip=()) -> int | None:
         """The smallest active id above ``after``, not in ``skip``, whose
         distance from cluster ``c`` is ``key``; None if there is none."""
-        row, ended = self.rows[c], self.ended
+        row, rows = self.rows[c], self.rows
         at = after
         while True:
             try:
                 at = row.index(key, at + 1)
             except ValueError:
                 return None
-            if ended[at] == _NEVER and at not in skip:
+            if rows[at] is not None and at not in skip:
                 return at
 
-    def snapshot(self, round_index: int) -> ProximityMatrix:
+
+class _Replay:
+    """An agglomeration's merge list, ``clusters`` (tree nodes by id), and
+    the proximity matrices re-derived from it by applying the merges to a
+    table built on the first read.  The cursor only moves forward; an
+    earlier round than the last one read starts again from the leaves."""
+
+    def __init__(self, pattern: PatternMatrix, metric: Metric):
+        self.pattern, self.metric = pattern, metric
+        self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
+        self.table: _ClusterTable | None = None
+
+    def record(self, group: tuple[int, ...], height: ExactDissimilarity,
+               round_index: int) -> DendroNode:
+        """Append and return the ``DendroNode`` of a merge of ``group``."""
+        clusters, n = self.clusters, self.pattern.n_rows
+        if any(clusters[g].height > height for g in group if g >= n):
+            raise ValidationError(f"merge at {height.display} would sit below one of its parts")
+        new = DendroNode(len(clusters), f"C{len(clusters) - n + 1}", group, height, round_index)
+        clusters.append(new)
+        return new
+
+    def matrix_after(self, round_index: int) -> ProximityMatrix:
         """The proximity matrix over the clusters active after a round
         (round 0: the original rows)."""
-        ids = [c.id for c, end in zip(self.clusters, self.ended)
-               if (c.round_index or 0) <= round_index < end]
-        rows = self.rows
-        return ProximityMatrix(tuple(map(self.clusters.__getitem__, ids)),
+        table, clusters = self.table, self.clusters
+        if table is None or (clusters[len(table.rows) - 1].round_index or 0) > round_index:
+            table = self.table = _ClusterTable(self.pattern, self.metric)
+        for node in clusters[len(table.rows):]:
+            if node.round_index > round_index:
+                break
+            table.merge(node.children, node.height.key)
+        ids, rows = table.active, table.rows
+        return ProximityMatrix(tuple(map(clusters.__getitem__, ids)),
                                [list(map(rows[b].__getitem__, ids[:pos]))
                                 for pos, b in enumerate(ids)],
-                               self.exact)
+                               table.exact)
 
 
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
     """Pairwise dissimilarities between all original pattern rows."""
-    return _ClusterTable(pattern, metric).snapshot(0)
+    return _Replay(pattern, metric).matrix_after(0)
 
 
 def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
@@ -331,14 +330,14 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     Leaves 0..n-1 keep the row labels; merged clusters get ids n, n+1, ...
     and labels C1, C2, ... in creation order within and across rounds.  One
     ``DendroNode`` per cluster serves the tree, ``Merge`` and
-    ``ProximityMatrix.active``.  The engine needs O(n^2) memory for n
-    pattern rows, and O(n^2) time when ties are rare, up to O(n^3) on
-    tie-heavy rows.  A round's ``matrix_after`` is rebuilt from its int
-    distances when read, and its ``cells`` dict only when that is read, so
-    reading every round's matrix of a sequential run costs O(n^3).
+    ``ProximityMatrix.active``.  Only the live distances are kept, in O(n^2)
+    memory, and they are freed on return: a replay of the merges rebuilds a
+    round's ``matrix_after`` when it is read, so reading every round's
+    matrix of a sequential run in order costs O(n^3).
     """
     table = _ClusterTable(pattern, metric)
-    rows, active = table.rows, table.active
+    replay = _Replay(pattern, metric)
+    rows, active, clusters = table.rows, table.active, replay.clusters
     n = pattern.n_rows
     # near_key[c], near_id[c]: c's nearest partner among the active clusters
     # with a larger id, the smallest id on a tie; `_NEVER` when there is none.
@@ -362,8 +361,9 @@ def cluster(pattern: PatternMatrix, metric: Metric,
         height = table.exact[low]
         merges = []
         for group in groups:
-            new = table.merge(group, low, round_index)
-            merges.append(Merge(new, tuple(table.clusters[g] for g in group)))
+            new = replay.record(group, height, round_index)
+            table.merge(group, low)
+            merges.append(Merge(new, tuple(map(clusters.__getitem__, group))))
             to_new = rows[new.id]
             for c in active[:-1]:
                 if to_new[c] < near_key[c]:
@@ -375,6 +375,6 @@ def cluster(pattern: PatternMatrix, metric: Metric,
                     # smallest such id and distances to surviving clusters
                     # never change, so the scan starts past it.
                     near_id[c] = table.next_at(c, near_key[c], near_id[c])
-        trace.append(MergeRound(round_index, height, tuple(merges), table))
-    dend = Dendrogram(dict(enumerate(table.clusters)), root=active[0], n_leaves=n)
+        trace.append(MergeRound(round_index, height, tuple(merges), replay))
+    dend = Dendrogram(dict(enumerate(clusters)), root=active[0], n_leaves=n)
     return ClusterResult(dend, tuple(trace))

@@ -229,6 +229,10 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", location="document") from None
+    except ValueError:  # an integer longer than int() may convert
+        raise ParseError("invalid JSON: a number is too long", location="document") from None
     if not isinstance(doc, dict):
         raise ParseError("expected a top-level object", location="document")
     unknown = sorted(set(doc) - {"subject_types", "components"})
@@ -281,10 +285,17 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
 # ---------------------------------------------------------------------------
 
 def read_text(path: Path | str) -> str:
+    """A UTF-8 file's text, with every line end read as ``\\n`` as in text mode."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputOutputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: cannot decode byte 0x{data[exc.start]:02x} "
+                         f"at byte offset {exc.start}", location=str(path)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:

@@ -159,3 +159,39 @@ def test_cut_out_of_range_is_validation_error(tmp_path, capsys):
     code = main(cluster_args(tmp_path, "--cut", "k:40"))
     assert code == 4
     assert "error[validation]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, data, offset", [
+    ("bad.json", b"\xff\xfe{}", 0),
+    ("bad.decls", b"%types s\nint f\xe9 (int n)\n", 14),
+])
+@pytest.mark.parametrize("command", ["cluster", "parse"])
+def test_undecodable_input_is_parse_error(tmp_path, capsys, name, data, offset, command):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    if command == "cluster":
+        kind = "components" if name.endswith(".json") else "decls"
+        argv = ["cluster", "--input", str(bad), "--kind", kind, "--trace", str(out)]
+    else:
+        argv = ["parse", "--decls", str(bad), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error[parse]: {bad}: not UTF-8: cannot decode byte 0x{data[offset]:02x} " \
+           f"at byte offset {offset}" in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200000, "nested too deeply"),
+    ('{"a": ' * 3000 + "1" + "}" * 3000, "nested too deeply"),
+    ('{"subject_types": [' + "1" * 5000 + "]}", "a number is too long"),
+])
+def test_unreadable_json_is_parse_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["cluster", "--input", str(bad), "--kind", "components",
+                 "--trace", str(tmp_path / "t.json")])
+    assert code == 3
+    assert f"error[parse]: document: invalid JSON: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]

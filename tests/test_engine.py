@@ -265,6 +265,43 @@ def test_star_tie_order_matches_oracle_both_policies(metric):
                 [copy] + rows[:half] + [copy] + rows[half:] + [(0,) * width], metric)
 
 
+@pytest.mark.parametrize(
+    "metric", [Metric.EUCLIDEAN, Metric.MANHATTAN, Metric.SIMPLE_MATCHING], ids=lambda m: m.value)
+def test_hamming_four_cycle_follows_the_id_order_tie_rule(metric):
+    # a-b, b-c, c-d and d-a are 2 apart, a-c and b-d 4 apart, so ties decide
+    # every merge.  Kruskal with its edges in leaf-id order would give
+    # (((a, b), d), c) instead.
+    pattern = make_pattern([(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0), (1, 0, 0, 0)],
+                           labels=list("abcd"))
+
+    def rounds(policy):
+        return [[(m.new.label, tuple(c.label for c in m.constituents)) for m in r.merges]
+                for r in cluster(pattern, metric, policy=policy).trace]
+
+    c1, c2, c3 = ("C1", ("a", "b")), ("C2", ("c", "d")), ("C3", ("C1", "C2"))
+    assert rounds(MergePolicy.SEQUENTIAL) == [[c1], [c2], [c3]]
+    assert rounds(MergePolicy.PAPER_REPRO) == [[c1, c2], [c3]]
+
+
+def test_snapshots_read_out_of_order_match_in_order_reads():
+    # Reading an earlier round than the last one read restarts the replay.
+    rng = random.Random(31)
+    for case in range(12):
+        rows = random_rows(rng, n=rng.randint(6, 14), t=rng.randint(2, 5))
+        for policy in MergePolicy:
+            trace = cluster(make_pattern(rows), list(Metric)[case % 4], policy=policy).trace
+
+            def read(order):
+                return {i: (trace[i].matrix_after.keys,
+                            [c.id for c in trace[i].matrix_after.active]) for i in order}
+
+            in_order = read(range(len(trace)))
+            shuffled = list(range(len(trace)))
+            rng.shuffle(shuffled)
+            assert read(reversed(range(len(trace)))) == in_order
+            assert read(shuffled) == in_order
+
+
 def test_euclidean_manhattan_identical_traces():
     rng = random.Random(99)
     for _ in range(40):
@@ -317,10 +354,11 @@ def test_permutation_invariance_with_unique_minima():
 def test_merge_below_its_parts_is_rejected():
     # Single linkage never does this; the guard keeps cut_height's use of a
     # node's own height as its subtree's maximum sound.
-    table = engine._ClusterTable(make_pattern([(0, 0), (0, 1), (1, 1)]), Metric.EUCLIDEAN)
-    first = table.merge((0, 2), 2, 1)
+    replay = engine._Replay(make_pattern([(0, 0), (0, 1), (1, 1)]), Metric.EUCLIDEAN)
+    exact = engine._ExactKeys(Metric.EUCLIDEAN, 2)
+    first = replay.record((0, 2), exact[2], 1)
     with pytest.raises(ValidationError, match="below"):
-        table.merge((1, first.id), 1, 2)
+        replay.record((1, first.id), exact[1], 2)
 
 
 def test_name_resolution_helpers():
