@@ -33,6 +33,10 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Words of the grammar that cannot name a struct or subject type.
+_KEYWORDS = ("void", "int", "struct")
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str   # "directive" | "ident" | "punct"
@@ -101,6 +105,9 @@ class _LineParser:
                 f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
                 line=self.line_no, column=token.column)
         struct_name = self.take_ident("struct name")
+        if struct_name in _KEYWORDS:
+            self.pos -= 1
+            self.fail("struct name")
         if self.at_punct("*"):
             self.pos += 1
         return struct_name
@@ -175,7 +182,7 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
                                  line=line_no, column=tokens[0].column)
             names = []
             for token in tokens[1:]:
-                if token.kind != "ident":
+                if token.kind != "ident" or token.text in _KEYWORDS:
                     raise ParseError(f"expected type name, found {token.text!r}",
                                      line=line_no, column=token.column)
                 if token.text in names:
@@ -198,7 +205,15 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
         note_structs(record)
         records.append(record)
 
+    # A components document needs a subject type and a component, so a
+    # file without them is refused here rather than converted.
+    if not records:
+        raise ParseError("expected a function prototype, found end of input",
+                         line=len(text.splitlines()) + 1)
     subjects = tuple(directive_types) if directive_types is not None else tuple(appearances)
+    if not subjects:
+        raise ParseError("no subject type: no %types directive and no struct type",
+                         line=min(record_lines.values()))
     declared = set(subjects)
     for line_no, token in uses_names:
         if token.text not in declared:

@@ -1,46 +1,44 @@
 """Agglomerative single-linkage clustering over binary pattern rows.
 
-Two merge policies are provided:
+Two merge policies are provided, both deterministic given the row order:
 
-* SEQUENTIAL: the classic one-merge-per-step algorithm.  Each round merges
-  exactly the lexicographically first (by ascending id pair) of the pairs
-  achieving the global minimum dissimilarity.
-* PAPER_REPRO: a round-based variant.  When the global minimum is exactly
-  zero, every connected component of the zero-dissimilarity graph merges as
-  one multiway cluster; otherwise disjoint minimum pairs are picked greedily
-  in ascending (i, j) id order.  Several merges can happen per round.  A
-  distance is zero only between identical rows, so the zero components are
-  the classes of identical rows, and only the first round can have them.
+* SEQUENTIAL: one merge per round, of the lexicographically first (by
+  ascending id pair) of the pairs at the minimum dissimilarity.
+* PAPER_REPRO: at distance zero, which only identical rows are at, each
+  class of identical rows merges as one multiway cluster, all in the first
+  round; above it, each round merges disjoint minimum pairs picked greedily
+  in ascending (i, j) id order.
 
-Both are deterministic given the input row order.  Ties are decided
-exactly, never by float luck: the engine compares ints whose order and
-equality match the metric's exact rational keys, and ``metrics.distance``
-makes the ``ExactDissimilarity`` of each int that a height or snapshot shows.
+Ties are decided exactly, never by float luck: the engine compares ints
+whose order and equality match the metric's exact rational keys, and
+``metrics.distance`` makes the ``ExactDissimilarity`` of each int that a
+height or snapshot shows.
 
-The pair table is built once per distinct pattern row, and a merge at
-distance zero, of identical rows, keeps one part's row instead of taking a
-minimum.  Each active cluster keeps its nearest partner among the larger
-ids (the smallest id on a tie).  A new cluster takes the largest id, so a
-merge searches only the rows whose partner it consumed, and every tie is
-found by one scan, ``_ClusterTable.next_at``.  Time is O(n^2) when ties are
-rare and up to O(n^3) on tie-heavy rows, where the paper policy's greedy
-matching can rescan a row in every round.
+Single linkage is a process of distance levels (Gower & Ross; Müllner,
+arXiv:1109.2378): at each distance, the clusters that have a pair of rows
+at that distance merge, and only the order of a level's merges is left to
+choose.  So the engine computes the int of each pair of distinct rows once,
+buckets the pairs by int and walks the levels upwards, each id in ascending
+order taking its smallest neighbour.  Time is O(n^2 log n) and memory O(n^2)
+for n pattern rows, whatever the ties.
 
-The engine keeps only the live distances: O(n^2) memory for n pattern
-rows, half of what keeping every round's distances takes.  A round's
-proximity matrix is re-derived from the merge list (Müllner, arXiv:1109.2378)
-by a replay that applies the merges, through the engine's own ``merge``, to
-a second table built on the first read.  Reading rounds in order costs
-O(active^2) each; going back to an earlier round restarts the replay.
+No distance table between clusters is kept.  A round's proximity matrix is
+re-derived from the merge list by a replay that applies the merges, by the
+single-linkage row minimum, to a table of the leaf distances built on the
+first read.  Reading rounds in order costs O(active^2) each; going back to
+an earlier round restarts the replay.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
+from array import array
 from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heapreplace
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple
 
 from .dendrogram import DendroNode, Dendrogram
@@ -149,36 +147,44 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _pair_ints(pattern: PatternMatrix, metric: Metric,
-               classes: list[list[int]]) -> list[list[int]]:
-    """All pairwise distances between pattern rows as ints that order and
-    tie exactly like the metric's keys, one list per leaf.
+               classes: list[list[int]]) -> dict[int, array]:
+    """The distance of each pair of distinct pattern rows, as an int that
+    orders and ties exactly like the metric's key, bucketed by int: a pair
+    of classes p < q is stored once, packed as ``p * len(classes) + q``.
 
     ``classes`` is ``_row_classes(pattern)``: each distinct row is packed
-    once, and distances are computed only between distinct rows."""
+    once, and only the upper triangle of the class pairs is computed."""
     packed = [int(bytes(pattern.rows[ids[0]]).translate(_DIGITS) or b"0", 2)
               for ids in classes]
-    if metric is not Metric.JACCARD:
-        # The Euclidean (squared), Manhattan and SMC keys are the mismatch
-        # count or a fixed multiple of it.
-        table = [[(a ^ b).bit_count() for b in packed] for a in packed]
-    else:
-        # Jaccard is x/u with x mismatches and u <= W set columns.  Two
-        # distinct fractions with denominators <= W differ by at least 1/W^2,
-        # so floor(x * W^2 / u) orders and ties exactly like x/u.  No pair
-        # has more set columns than twice the heaviest row.
-        width = pattern.n_cols
-        scale = width * width
-        top = min(width, 2 * max(a.bit_count() for a in packed))
-        keys = [[x * scale // u if u else 0 for u in range(top + 1)]
-                for x in range(top + 1)]
-        table = [[keys[(a ^ b).bit_count()][(a | b).bit_count()] for b in packed]
-                 for a in packed]
-    if len(classes) == pattern.n_rows:
-        return table
-    of = [0] * pattern.n_rows
-    for c, ids in enumerate(classes):
-        for i in ids:
-            of[i] = c
+    count, scale = len(packed), pattern.n_cols ** 2
+    buckets: dict[int, array] = defaultdict(lambda: array("I"))
+    for p, a in enumerate(packed):
+        if metric is not Metric.JACCARD:
+            # The Euclidean (squared), Manhattan and SMC keys are the
+            # mismatch count or a fixed multiple of it.
+            keys = [(a ^ b).bit_count() for b in packed[p + 1:]]
+        else:
+            # Jaccard is x/u with x mismatches and 0 < u <= W set columns.
+            # Two distinct fractions with denominators <= W differ by at
+            # least 1/W^2, so floor(x * W^2 / u) orders and ties like x/u.
+            keys = [(a ^ b).bit_count() * scale // (a | b).bit_count()
+                    for b in packed[p + 1:]]
+        for pq, key in enumerate(keys, p * count + p + 1):
+            buckets[key].append(pq)
+    return buckets
+
+
+def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
+    """The int distance between every two pattern rows, one list per row."""
+    classes = _row_classes(pattern)
+    count = len(classes)
+    table = [[0] * count for _ in classes]
+    for key, pairs in _pair_ints(pattern, metric, classes).items():
+        for pq in pairs:
+            p, q = divmod(pq, count)
+            table[p][q] = table[q][p] = key
+    index = {pattern.rows[ids[0]]: c for c, ids in enumerate(classes)}
+    of = [index[row] for row in pattern.rows]
     return [list(map(table[c].__getitem__, of)) for c in of]
 
 
@@ -206,70 +212,23 @@ class _ExactKeys(dict):
         return value
 
 
-_NEVER = sys.maxsize
-
-
-class _ClusterTable:
-    """The active clusters of an agglomeration and the int distances between
-    them: ``rows[x][y]`` for active x and y.  A new cluster takes the next
-    id; a merged-away cluster's row is freed (None), and the entries at its
-    id in other rows are stale."""
+class _Replay:
+    """An agglomeration's merge list, ``clusters`` (tree nodes by id), and
+    the proximity matrices re-derived from it.  On the first read the
+    merges are applied, by the single-linkage row minimum, to a table of
+    the active clusters' int distances: ``rows[x][y]`` for active x and y,
+    where a merged-away row is freed (None) and the entries at its id in
+    other rows are stale.  The table only moves forward; an earlier round
+    than the last one read starts again from the leaves."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
         if pattern.n_rows < 2:
             raise ValidationError("clustering needs at least 2 pattern rows")
-        classes = _row_classes(pattern)
-        self.rows: list[list[int] | None] = _pair_ints(pattern, metric, classes)
-        # The int distance is 0 exactly for identical rows, so the classes
-        # with more than one member are the zero-distance components of the
-        # first round, and no zero distance is left once they merge.
-        self.copies = [tuple(ids) for ids in classes if len(ids) > 1]
-        self.exact = _ExactKeys(metric, pattern.n_cols)
-        self.active = list(range(pattern.n_rows))
-
-    def merge(self, group: tuple[int, ...], key) -> None:
-        """Merge the active clusters ``group`` (ascending ids), ``key`` apart
-        (an int or exact key), into one by the single-linkage row minimum."""
-        rows, active = self.rows, self.active
-        # A zero key means identical rows, and heights never fall, so the
-        # parts' rows agree at every active id: the first is the minimum.
-        row = rows[group[0]]
-        if key:
-            for g in group[1:]:
-                row = [a if a < b else b for a, b in zip(row, rows[g])]
-        row.append(0)
-        for g in group:
-            del active[bisect_left(active, g)]
-            rows[g] = None
-        for k in active:
-            rows[k].append(row[k])
-        active.append(len(rows))
-        rows.append(row)
-
-    def next_at(self, c: int, key: int, after: int, skip=()) -> int | None:
-        """The smallest active id above ``after``, not in ``skip``, whose
-        distance from cluster ``c`` is ``key``; None if there is none."""
-        row, rows = self.rows[c], self.rows
-        at = after
-        while True:
-            try:
-                at = row.index(key, at + 1)
-            except ValueError:
-                return None
-            if rows[at] is not None and at not in skip:
-                return at
-
-
-class _Replay:
-    """An agglomeration's merge list, ``clusters`` (tree nodes by id), and
-    the proximity matrices re-derived from it by applying the merges to a
-    table built on the first read.  The cursor only moves forward; an
-    earlier round than the last one read starts again from the leaves."""
-
-    def __init__(self, pattern: PatternMatrix, metric: Metric):
         self.pattern, self.metric = pattern, metric
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
-        self.table: _ClusterTable | None = None
+        self.exact = _ExactKeys(metric, pattern.n_cols)
+        self.rows: list[list[int] | None] = []
+        self.active: list[int] = []
 
     def record(self, group: tuple[int, ...], height: ExactDissimilarity,
                round_index: int) -> DendroNode:
@@ -281,46 +240,41 @@ class _Replay:
         clusters.append(new)
         return new
 
+    def _merge(self, group: tuple[int, ...]) -> None:
+        rows, active = self.rows, self.active
+        row = rows[group[0]]
+        for g in group[1:]:
+            row = [a if a < b else b for a, b in zip(row, rows[g])]
+        row.append(0)
+        for g in group:
+            del active[bisect_left(active, g)]
+            rows[g] = None
+        for k in active:
+            rows[k].append(row[k])
+        active.append(len(rows))
+        rows.append(row)
+
     def matrix_after(self, round_index: int) -> ProximityMatrix:
         """The proximity matrix over the clusters active after a round
         (round 0: the original rows)."""
-        table, clusters = self.table, self.clusters
-        if table is None or (clusters[len(table.rows) - 1].round_index or 0) > round_index:
-            table = self.table = _ClusterTable(self.pattern, self.metric)
-        for node in clusters[len(table.rows):]:
+        clusters = self.clusters
+        if not self.rows or (clusters[len(self.rows) - 1].round_index or 0) > round_index:
+            self.rows = _leaf_table(self.pattern, self.metric)
+            self.active = list(range(self.pattern.n_rows))
+        for node in clusters[len(self.rows):]:
             if node.round_index > round_index:
                 break
-            table.merge(node.children, node.height.key)
-        ids, rows = table.active, table.rows
+            self._merge(node.children)
+        ids, rows = self.active, self.rows
         return ProximityMatrix(tuple(map(clusters.__getitem__, ids)),
                                [list(map(rows[b].__getitem__, ids[:pos]))
                                 for pos, b in enumerate(ids)],
-                               table.exact)
+                               self.exact)
 
 
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
     """Pairwise dissimilarities between all original pattern rows."""
     return _Replay(pattern, metric).matrix_after(0)
-
-
-def _greedy_pairs(table: _ClusterTable, near_key: list, near_id: list,
-                  low: int) -> list[tuple[int, int]]:
-    """Disjoint pairs at distance ``low``, taken greedily in ascending
-    (i, j) id order."""
-    taken: set[int] = set()
-    pairs = []
-    for c in table.active:
-        if near_key[c] != low or c in taken:
-            continue
-        partner = near_id[c]
-        if partner in taken:
-            # The ids between c and its partner are farther than `low`.
-            partner = table.next_at(c, low, partner, taken)
-            if partner is None:
-                continue
-        pairs.append((c, partner))
-        taken.update((c, partner))
-    return pairs
 
 
 def cluster(pattern: PatternMatrix, metric: Metric,
@@ -330,51 +284,92 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     Leaves 0..n-1 keep the row labels; merged clusters get ids n, n+1, ...
     and labels C1, C2, ... in creation order within and across rounds.  One
     ``DendroNode`` per cluster serves the tree, ``Merge`` and
-    ``ProximityMatrix.active``.  Only the live distances are kept, in O(n^2)
-    memory, and they are freed on return: a replay of the merges rebuilds a
+    ``ProximityMatrix.active``.
+
+    The merges are chosen one distance level at a time, upwards, until one
+    cluster is left; level 0 is the classes of identical rows.  At a higher
+    level two clusters are neighbours if a pair of their rows is at that
+    distance, and a merge's neighbours are its parts'.  Memory is one int
+    per pair of distinct rows plus one neighbour entry per pair at the
+    current level, all freed on return: a replay of the merges rebuilds a
     round's ``matrix_after`` when it is read, so reading every round's
-    matrix of a sequential run in order costs O(n^3).
+    matrix of a sequential run costs O(n^3).
     """
-    table = _ClusterTable(pattern, metric)
     replay = _Replay(pattern, metric)
-    rows, active, clusters = table.rows, table.active, replay.clusters
-    n = pattern.n_rows
-    # near_key[c], near_id[c]: c's nearest partner among the active clusters
-    # with a larger id, the smallest id on a tie; `_NEVER` when there is none.
-    near_key = [_NEVER] * (2 * n - 1)
-    near_id: list[int | None] = [None] * (2 * n - 1)
-    for c in range(n - 1):
-        near_key[c] = min(rows[c][c + 1:])
-        near_id[c] = table.next_at(c, near_key[c], c)
+    clusters, n = replay.clusters, pattern.n_rows
     trace: list[MergeRound] = []
-    round_index = 0
-    while len(active) > 1:
-        round_index += 1
-        if policy is MergePolicy.SEQUENTIAL:
-            first = min(active, key=near_key.__getitem__)
-            low = near_key[first]
-            groups = [(first, near_id[first])]
-        else:
-            low = min(map(near_key.__getitem__, active))
-            groups = (table.copies if low == 0
-                      else _greedy_pairs(table, near_key, near_id, low))
-        height = table.exact[low]
-        merges = []
-        for group in groups:
-            new = replay.record(group, height, round_index)
-            table.merge(group, low)
-            merges.append(Merge(new, tuple(map(clusters.__getitem__, group))))
-            to_new = rows[new.id]
-            for c in active[:-1]:
-                if to_new[c] < near_key[c]:
-                    near_key[c], near_id[c] = to_new[c], new.id
-                elif near_id[c] in group:
-                    # Its partner was merged into `new`, which is now exactly
-                    # as near: take the smallest id at that distance (`new`
-                    # itself, at the latest).  The old partner was the
-                    # smallest such id and distances to surviving clusters
-                    # never change, so the scan starts past it.
-                    near_id[c] = table.next_at(c, near_key[c], near_id[c])
-        trace.append(MergeRound(round_index, height, tuple(merges), replay))
-    dend = Dendrogram(dict(enumerate(clusters)), root=active[0], n_leaves=n)
+
+    def merge_round(groups: list[tuple[int, ...]], key: int) -> list[int]:
+        height = replay.exact[key]
+        merges = [Merge(replay.record(group, height, len(trace) + 1),
+                        tuple(map(clusters.__getitem__, group))) for group in groups]
+        trace.append(MergeRound(len(trace) + 1, height, tuple(merges), replay))
+        return [new.id for new, _ in merges]
+
+    classes = _row_classes(pattern)
+    live = [deque(ids) for ids in classes]
+    copies = [ids for ids in live if len(ids) > 1]
+    if policy is MergePolicy.PAPER_REPRO:
+        # Each class of identical rows merges whole, all in one round.
+        if copies:
+            for ids, new in zip(copies, merge_round(list(map(tuple, copies)), 0)):
+                ids.append(new)
+    else:
+        # The class holding the smallest id that has a copy left merges its
+        # two smallest live members.
+        heap = [(ids[0], k) for k, ids in enumerate(copies)]
+        while heap:
+            ids = copies[heap[0][1]]
+            ids.extend(merge_round([(ids.popleft(), ids.popleft())], 0))
+            if len(ids) > 1:
+                heapreplace(heap, (ids[0], heap[0][1]))
+            else:
+                heappop(heap)
+
+    # at[p]: the cluster that holds class p; inside[c]: the classes of c.
+    at = [ids[-1] for ids in live]
+    inside = {c: [p] for p, c in enumerate(at)}
+
+    count, buckets = len(classes), _pair_ints(pattern, metric, classes)
+    # near[c]: c's larger neighbours at the level, each named by one of its
+    # classes; merges leave a name valid, and make some repeat.  In id order,
+    # each cluster takes its smallest neighbour not yet taken (one greedy
+    # matching per round, or only the first pair), and a smaller neighbour
+    # still free would have taken it first, so the larger ones are enough.
+    near: dict[int, array] = defaultdict(lambda: array("I"))
+    for key in sorted(buckets):
+        if len(inside) == 1:
+            break
+        for pq in buckets.pop(key):
+            p, q = divmod(pq, count)
+            if at[p] < at[q]:
+                near[at[p]].append(q)
+            elif at[q] < at[p]:
+                near[at[q]].append(p)
+        while near:
+            taken: set[int] = set()
+            groups = []
+            # The sequential policy merges the matching's first pair only.
+            for c in sorted(near) if policy is MergePolicy.PAPER_REPRO else [min(near)]:
+                if c in taken:
+                    continue
+                ids = set(map(at.__getitem__, near[c]))
+                free = ids - taken
+                if free:
+                    groups.append((c, min(free)))
+                    taken.update(groups[-1])
+                elif len(ids) < len(near[c]):
+                    # Blocked now, and read again next round: keep one name
+                    # per cluster.
+                    by_cluster = dict(zip(map(at.__getitem__, near[c]), near[c]))
+                    near[c] = array("I", by_cluster.values())
+            for (c, d), new in zip(groups, merge_round(groups, key)):
+                inside[new] = inside.pop(c) + inside.pop(d)
+                for p in inside[new]:
+                    at[p] = new
+                # `new` has the largest id, so the parts' larger neighbours
+                # now hold the pair.
+                for x in set(map(at.__getitem__, chain(near.pop(c), near.pop(d, ())))) - {new}:
+                    near[x].append(inside[new][0])
+    dend = Dendrogram(dict(enumerate(clusters)), root=len(clusters) - 1, n_leaves=n)
     return ClusterResult(dend, tuple(trace))

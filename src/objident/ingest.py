@@ -246,6 +246,10 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
     subjects = _string_list(doc["subject_types"], "subject_types", allow_empty=False)
     if len(set(subjects)) != len(subjects):
         raise ParseError("subject types must be unique", location="subject_types")
+    primitive = sorted({"void", "int"} & set(subjects))
+    if primitive:
+        raise ParseError(f"{primitive[0]!r} is a primitive type, not a subject type",
+                         location="subject_types")
 
     if not isinstance(doc["components"], list) or not doc["components"]:
         raise ParseError("expected a non-empty list", location="components")

@@ -195,3 +195,22 @@ def test_unreadable_json_is_parse_error(tmp_path, capsys, text, message):
     assert code == 3
     assert f"error[parse]: document: invalid JSON: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("int g(int a)\n", "line 1: no subject type"),
+    ("", "line 1: expected a function prototype, found end of input"),
+])
+@pytest.mark.parametrize("command", ["cluster", "parse"])
+def test_declarations_without_subject_or_prototype_is_parse_error(tmp_path, capsys, text,
+                                                                 message, command):
+    bad = tmp_path / "bad.decls"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    if command == "cluster":
+        argv = ["cluster", "--input", str(bad), "--kind", "decls", "--trace", str(out)]
+    else:
+        argv = ["parse", "--decls", str(bad), "--out", str(out)]
+    assert main(argv) == 3
+    assert f"error[parse]: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]

@@ -73,7 +73,7 @@ def test_subjects_default_to_first_appearance():
 def test_comments_and_blank_lines_ignored():
     text = ("# a comment line\n"
             "\n"
-            "int f (int n)  # trailing comment\n"
+            "int f (struct s * x)  # trailing comment\n"
             "   \n")
     _, records = parse_declarations(text)
     assert [r.name for r in records] == ["f"]
@@ -90,6 +90,11 @@ def test_comments_and_blank_lines_ignored():
     ("int f (int n) @", "unexpected character '@'"),
     ("struct f (int n)", "expected function name"),
     ("struct stack * mk (int n) ! uses: stack, queue", "unknown subject type 'queue'"),
+    ("struct void *f (struct int x)", "expected struct name, found 'void'"),
+    ("int f (struct int x)", "expected struct name, found 'int'"),
+    ("struct struct * f (int n)", "expected struct name, found 'struct'"),
+    ("%types int", "expected type name, found 'int'"),
+    ("%types stack void", "expected type name, found 'void'"),
 ])
 def test_malformed_lines_rejected(line, fragment):
     with pytest.raises(ParseError) as info:
@@ -97,6 +102,19 @@ def test_malformed_lines_rejected(line, fragment):
     assert fragment in str(info.value)
     assert info.value.line == 1
     assert info.value.column is not None
+
+
+@pytest.mark.parametrize("text, fragment, line", [
+    ("", "expected a function prototype, found end of input", 1),
+    ("%types stack\n# nothing else\n", "expected a function prototype", 3),
+    ("int g (int a)", "no subject type", 1),
+    ("# helpers\nint g (int a)\nvoid h (int b)\n", "no subject type", 2),
+])
+def test_file_without_prototype_or_subject_type_rejected(text, fragment, line):
+    # A components document needs both, so the file is refused at parse time.
+    with pytest.raises(ParseError, match=fragment) as info:
+        parse_declarations(text)
+    assert info.value.line == line
 
 
 def test_error_reports_correct_line_number():

@@ -52,7 +52,9 @@ def make_pattern(rows, labels=None):
 
 
 def pair_ints(pattern, metric):
-    return engine._pair_ints(pattern, metric, engine._row_classes(pattern))
+    """The replay's table before any merge: one list of ints per row, filled
+    from the engine's buckets of distinct-row pairs."""
+    return engine._leaf_table(pattern, metric)
 
 
 def by_label(prox, a, b):
@@ -408,7 +410,13 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
                     for _ in range(rng.randint(1, 6))}
         rows = [*distinct, *rng.choices(sorted(distinct), k=rng.randint(1, 8))]
         rng.shuffle(rows)
-        ints = pair_ints(make_pattern(rows), metric)
+        pattern = make_pattern(rows)
+        # Each pair of distinct rows is bucketed once, as p * count + q, p < q.
+        classes = engine._row_classes(pattern)
+        count, buckets = len(classes), engine._pair_ints(pattern, metric, classes)
+        assert sorted(pq for pairs in buckets.values() for pq in pairs) == [
+            p * count + q for p, q in itertools.combinations(range(count), 2)]
+        ints = pair_ints(pattern, metric)
         assert ints == [[per_pair_int(metric, a, b) for b in rows] for a in rows]
         for i, j in itertools.combinations(range(len(rows)), 2):
             if rows[i] == rows[j]:

@@ -4,7 +4,9 @@ The parsers and the file reader take input from outside the program, so no
 input may end in any other exception: not a ``UnicodeDecodeError`` from
 bytes that are not UTF-8, not a ``RecursionError`` from JSON nested deeper
 than the interpreter's recursion limit, and not the ``ValueError`` of a
-JSON number with more digits than ``int()`` converts.
+JSON number with more digits than ``int()`` converts.  And whatever
+``parse_declarations`` returns converts to a components document that
+``parse_components`` reads back unchanged.
 """
 
 import json
@@ -12,7 +14,13 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from objident import ObjidentError, parse_components, parse_declarations
+from objident import (
+    ObjidentError,
+    canonical_json,
+    components_document,
+    parse_components,
+    parse_declarations,
+)
 from objident.ingest import read_text
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -47,6 +55,18 @@ declaration_like = st.lists(
     ]) | st.text(max_size=3), max_size=10).map(" ".join),
     max_size=6).map("\n".join)
 
+# Files of well-formed lines, many of which parse.
+c_types = st.sampled_from(["void", "int", "struct s", "struct t *", "struct int"])
+prototypes = st.builds(
+    lambda returns, name, params, uses: (
+        f"{returns} {name} ({', '.join(f'{t} p{i}' for i, t in enumerate(params))})"
+        + (f" ! uses: {', '.join(uses)}" if uses else "")),
+    c_types, st.sampled_from(["f", "g", "h"]), st.lists(c_types, max_size=3),
+    st.lists(st.sampled_from(["s", "t"]), max_size=2, unique=True))
+declaration_files = st.lists(
+    prototypes | st.sampled_from(["%types s t", "%types int", "# note", ""]),
+    max_size=4).map("\n".join)
+
 
 def records_or_error(parse, text):
     try:
@@ -66,6 +86,18 @@ def test_parse_components_ends_in_records_or_error(text):
 @given(st.text() | declaration_like)
 def test_parse_declarations_ends_in_records_or_error(text):
     records_or_error(parse_declarations, text)
+
+
+@FUZZ
+@given(declaration_files | declaration_like)
+def test_parsed_declarations_convert_to_a_readable_document(text):
+    # What `objident parse` writes, `cluster --kind components` must read.
+    try:
+        subjects, records = parse_declarations(text)
+    except ObjidentError:
+        return
+    document = canonical_json(components_document(subjects, records))
+    assert parse_components(document) == (subjects, records)
 
 
 @FUZZ

@@ -59,6 +59,9 @@ def test_parse_components_defaults_optional_fields():
     ("{}", "missing required key"),
     (components_text(subject_types=[]), "non-empty"),
     (components_text(subject_types=["a", "a"]), "unique"),
+    (components_text(subject_types=["int"]), "subject_types: 'int' is a primitive type"),
+    (components_text(subject_types=["stack", "void"]),
+     "subject_types: 'void' is a primitive type"),
     (components_text(components=[]), "non-empty"),
     (components_text(extra=1), "unknown top-level key"),
     (components_text(components=[{"name": "f", "nope": 1}]), "unknown key"),
