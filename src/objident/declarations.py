@@ -20,181 +20,131 @@ cannot express.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .features import ComponentRecord
 
-_TOKEN_RE = re.compile(
-    r"(?P<space>\s+)"
-    r"|(?P<directive>%types\b)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[*(),!:])"
-)
-
+# One token per match; whitespace is skipped by the search, and any other
+# character lands in the catch-all group.
+_TOKEN_RE = re.compile(r"%types\b|[A-Za-z_][A-Za-z0-9_]*|[*(),!:]|(\S)")
 
 # Words of the grammar that cannot name a struct or subject type.
 _KEYWORDS = ("void", "int", "struct")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # "directive" | "ident" | "punct"
-    text: str
-    column: int  # 1-based
+_Token = tuple[str, int]  # text, 1-based column
 
 
 def _tokenize(line: str, line_no: int) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(line):
-        match = _TOKEN_RE.match(line, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {line[pos]!r}",
-                             line=line_no, column=pos + 1)
-        if match.lastgroup != "space":
-            tokens.append(_Token(match.lastgroup, match.group(), pos + 1))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(line):
+        if match.group(1):
+            raise ParseError(f"unexpected character {match.group(1)!r}",
+                             line=line_no, column=match.start() + 1)
+        tokens.append((match.group(), match.start() + 1))
     return tokens
 
 
-class _LineParser:
-    """Recursive-descent parser over one line's token list."""
+def _parse_proto(tokens: list[_Token], line_no: int,
+                 line_len: int) -> tuple[ComponentRecord, list[_Token]]:
+    """The line's record, plus its ``! uses:`` name tokens."""
+    rest = tokens[::-1]  # the next token is last
 
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.line_len = line_len
-        self.pos = 0
+    def take(expected: str, accept) -> _Token:
+        if rest and accept(rest[-1][0]):
+            return rest.pop()
+        found, column = ((repr(rest[-1][0]), rest[-1][1]) if rest
+                         else ("end of line", line_len + 1))
+        raise ParseError(f"expected {expected}, found {found}",
+                         line=line_no, column=column)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def skip(punct: str) -> bool:
+        if rest and rest[-1][0] == punct:
+            rest.pop()
+            return True
+        return False
 
-    def fail(self, expected: str):
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {expected}, found end of line",
-                             line=self.line_no, column=self.line_len + 1)
-        raise ParseError(f"expected {expected}, found {token.text!r}",
-                         line=self.line_no, column=token.column)
-
-    def take_ident(self, expected: str = "identifier") -> str:
-        token = self.peek()
-        if token is None or token.kind != "ident":
-            self.fail(expected)
-        self.pos += 1
-        return token.text
-
-    def take_punct(self, char: str) -> None:
-        token = self.peek()
-        if token is None or token.kind != "punct" or token.text != char:
-            self.fail(f"{char!r}")
-        self.pos += 1
-
-    def at_punct(self, char: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "punct" and token.text == char
-
-    def parse_type(self) -> str:
-        name = self.take_ident("a type ('void', 'int', or 'struct <name>')")
+    def parse_type() -> str:
+        name, column = take("a type ('void', 'int', or 'struct <name>')", str.isidentifier)
         if name in ("void", "int"):
             return name
         if name != "struct":
-            token = self.tokens[self.pos - 1]
             raise ParseError(
                 f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
-                line=self.line_no, column=token.column)
-        struct_name = self.take_ident("struct name")
-        if struct_name in _KEYWORDS:
-            self.pos -= 1
-            self.fail("struct name")
-        if self.at_punct("*"):
-            self.pos += 1
+                line=line_no, column=column)
+        struct_name = take("struct name",
+                           lambda text: text.isidentifier() and text not in _KEYWORDS)[0]
+        skip("*")
         return struct_name
 
-    def parse_proto(self) -> tuple[ComponentRecord, list[_Token]]:
-        """The line's record, plus its ``! uses:`` name tokens."""
-        returns = self.parse_type()
-        name = self.take_ident("function name")
-        self.take_punct("(")
-        args: list[str] = []
-        if not self.at_punct(")"):
-            while True:
-                args.append(self.parse_type())
-                self.take_ident("parameter name")
-                if self.at_punct(","):
-                    self.pos += 1
-                    continue
-                break
-        self.take_punct(")")
-        uses: list[_Token] = []
-        if self.at_punct("!"):
-            self.pos += 1
-            keyword = self.take_ident("'uses'")
-            if keyword != "uses":
-                token = self.tokens[self.pos - 1]
-                raise ParseError(f"expected 'uses', found {keyword!r}",
-                                 line=self.line_no, column=token.column)
-            self.take_punct(":")
-            self.take_ident("subject type name")
-            uses.append(self.tokens[self.pos - 1])
-            while self.at_punct(","):
-                self.pos += 1
-                self.take_ident("subject type name")
-                uses.append(self.tokens[self.pos - 1])
-        if self.peek() is not None:
-            self.fail("end of line")
-        return ComponentRecord(
-            name=name,
-            returns=None if returns == "void" else returns,
-            args=tuple(args),
-            uses_fields=frozenset(t.text for t in uses),
-        ), uses
+    returns = parse_type()
+    name = take("function name", str.isidentifier)[0]
+    take("'('", "(".__eq__)
+    args: list[str] = []
+    if not (rest and rest[-1][0] == ")"):
+        args.append(parse_type())
+        take("parameter name", str.isidentifier)
+        while skip(","):
+            args.append(parse_type())
+            take("parameter name", str.isidentifier)
+    take("')'", ")".__eq__)
+    uses: list[_Token] = []
+    if skip("!"):
+        take("'uses'", "uses".__eq__)
+        take("':'", ":".__eq__)
+        uses.append(take("subject type name", str.isidentifier))
+        while skip(","):
+            uses.append(take("subject type name", str.isidentifier))
+    if rest:
+        take("end of line", lambda text: False)
+    return ComponentRecord(
+        name=name,
+        returns=None if returns == "void" else returns,
+        args=tuple(args),
+        uses_fields=frozenset(text for text, _ in uses),
+    ), uses
 
 
 def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord, ...]]:
     """Parse a declaration file into subject types plus component records.
 
     Returns the declared (or inferred) subject-type order and one record per
-    prototype line, in file order.  Errors carry the offending line and
-    column; a ``! uses:`` name outside the subject types is one of them.
+    prototype line, in file order.  Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``.  Errors carry the offending line and column; a ``! uses:`` name
+    outside the subject types is one of them.
     """
     records: list[ComponentRecord] = []
     record_lines: dict[str, int] = {}
     uses_names: list[tuple[int, _Token]] = []
     directive_types: list[str] | None = None
-    appearances: list[str] = []
+    appearances: dict[str | None, None] = {}  # first appearance, returns first
 
-    def note_structs(record: ComponentRecord) -> None:
-        # First-appearance order: return type first, then parameters.
-        for name in (record.returns, *record.args):
-            if name not in (None, "void", "int") and name not in appearances:
-                appearances.append(name)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = re.split(r"\r\n?|\n", text)
+    if not lines[-1]:
+        lines.pop()  # a final line end starts no new line
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         tokens = _tokenize(line, line_no)
         if not tokens:
             continue
-        if tokens[0].kind == "directive":
+        if tokens[0][0] == "%types":
             if directive_types is not None:
                 raise ParseError("duplicate %types directive",
-                                 line=line_no, column=tokens[0].column)
+                                 line=line_no, column=tokens[0][1])
             names = []
-            for token in tokens[1:]:
-                if token.kind != "ident" or token.text in _KEYWORDS:
-                    raise ParseError(f"expected type name, found {token.text!r}",
-                                     line=line_no, column=token.column)
-                if token.text in names:
-                    raise ParseError(f"duplicate subject type {token.text!r}",
-                                     line=line_no, column=token.column)
-                names.append(token.text)
+            for name, column in tokens[1:]:
+                if not name.isidentifier() or name in _KEYWORDS:
+                    raise ParseError(f"expected type name, found {name!r}",
+                                     line=line_no, column=column)
+                if name in names:
+                    raise ParseError(f"duplicate subject type {name!r}",
+                                     line=line_no, column=column)
+                names.append(name)
             if not names:
                 raise ParseError("%types needs at least one type name",
-                                 line=line_no, column=tokens[0].column)
+                                 line=line_no, column=tokens[0][1])
             directive_types = names
             continue
-        record, uses = _LineParser(tokens, line_no, len(line)).parse_proto()
+        record, uses = _parse_proto(tokens, line_no, len(line))
         uses_names.extend((line_no, token) for token in uses)
         if record.name in record_lines:
             raise ParseError(
@@ -202,21 +152,24 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
                 f"(first declared on line {record_lines[record.name]})",
                 line=line_no)
         record_lines[record.name] = line_no
-        note_structs(record)
+        appearances.update(dict.fromkeys((record.returns, *record.args)))
         records.append(record)
 
     # A components document needs a subject type and a component, so a
     # file without them is refused here rather than converted.
     if not records:
         raise ParseError("expected a function prototype, found end of input",
-                         line=len(text.splitlines()) + 1)
-    subjects = tuple(directive_types) if directive_types is not None else tuple(appearances)
+                         line=len(lines) + 1)
+    if directive_types is not None:
+        subjects = tuple(directive_types)
+    else:
+        subjects = tuple(n for n in appearances if n not in (None, "void", "int"))
     if not subjects:
         raise ParseError("no subject type: no %types directive and no struct type",
                          line=min(record_lines.values()))
     declared = set(subjects)
-    for line_no, token in uses_names:
-        if token.text not in declared:
-            raise ParseError(f"unknown subject type {token.text!r} in '! uses:'",
-                             line=line_no, column=token.column)
+    for line_no, (name, column) in uses_names:
+        if name not in declared:
+            raise ParseError(f"unknown subject type {name!r} in '! uses:'",
+                             line=line_no, column=column)
     return subjects, tuple(records)

@@ -306,19 +306,23 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
     """Write each (path, text) pair to a sibling temp file, then rename them
     all.  Nothing is renamed until every write has succeeded, and a failure
     removes every temp file, so a failed call leaves no output behind.  A
-    target that is a directory, which would fail only at its rename, is
-    refused before anything is written.  Each file gets the mode a plain
-    ``open(path, "w")`` would give it, 0o666 less the umask."""
+    target that exists but is not a regular file is refused before anything
+    is written: a directory would fail only at its rename, and a FIFO,
+    socket or device would be replaced by it.  Each file gets the mode a
+    plain ``open(path, "w")`` would give it, 0o666 less the umask."""
     umask = os.umask(0)
     os.umask(umask)
+    outputs = [(Path(path), text) for path, text in outputs]
     staged: list[tuple[str, Path]] = []
     path = None
     try:
         try:
-            for path, text in outputs:
-                path = Path(path)
+            for path, _ in outputs:
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if path.exists() and not path.is_file():
+                    raise OSError("not a regular file")
+            for path, text in outputs:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
                 staged.append((tmp, path))
@@ -434,7 +438,9 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
 
     Raises ObjidentError subclasses on any failure; output files are
     written only after all computation has succeeded, and together: none
-    appears unless all of them could be written.
+    appears unless all of them could be written.  They are in place before
+    the summary is printed, so a failing ``out`` (an InputOutputError)
+    leaves them complete.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -482,6 +488,12 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         outputs.append((config.report_path, canonical_json(report.to_doc())))
     write_texts_atomic(outputs)
 
-    for line in _summary_lines(config, pattern, trace, partition, report):
-        print(line, file=out)
+    lines = _summary_lines(config, pattern, trace, partition, report)
+    try:
+        for line in lines:
+            print(line, file=out)
+        out.flush()
+    except OSError as exc:
+        raise InputOutputError(
+            f"cannot write the summary to stdout: {exc.strerror or exc}") from exc
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,23 @@ def test_declarations_without_subject_or_prototype_is_parse_error(tmp_path, caps
     assert main(argv) == 3
     assert f"error[parse]: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_closed_stdout_is_io_error_after_complete_outputs(tmp_path, capsys):
+    # The read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE whatever the timing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "objident.cli", *cluster_args(tmp_path / "child")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert child.returncode == 5
+    assert child.stderr == "error[io]: cannot write the summary to stdout: Broken pipe\n"
+    assert main(cluster_args(tmp_path / "parent")) == 0
+    assert ((tmp_path / "child" / "trace.json").read_bytes()
+            == (tmp_path / "parent" / "trace.json").read_bytes())

@@ -79,29 +79,35 @@ def test_comments_and_blank_lines_ignored():
     assert [r.name for r in records] == ["f"]
 
 
-@pytest.mark.parametrize("line,fragment", [
-    ("float f (int n)", "unknown type 'float'"),
-    ("struct stack f int n)", "expected '('"),
-    ("struct stack f (int n", "found end of line"),
-    ("int f (int) ", "parameter name"),
-    ("int f (int n) ! loads: stack", "expected 'uses'"),
-    ("int f (int n) ! uses:", "subject type name"),
-    ("int f (int n) extra", "expected end of line"),
-    ("int f (int n) @", "unexpected character '@'"),
-    ("struct f (int n)", "expected function name"),
-    ("struct stack * mk (int n) ! uses: stack, queue", "unknown subject type 'queue'"),
-    ("struct void *f (struct int x)", "expected struct name, found 'void'"),
-    ("int f (struct int x)", "expected struct name, found 'int'"),
-    ("struct struct * f (int n)", "expected struct name, found 'struct'"),
-    ("%types int", "expected type name, found 'int'"),
-    ("%types stack void", "expected type name, found 'void'"),
+@pytest.mark.parametrize("line,fragment,column", [
+    ("float f (int n)", "unknown type 'float'", 1),
+    ("struct stack f int n)", "expected '('", 16),
+    ("struct stack f (int n", "found end of line", 22),
+    ("int f (int) ", "parameter name", 11),
+    ("int f (int n) ! loads: stack", "expected 'uses'", 17),
+    ("int f (int n) ! uses:", "subject type name", 22),
+    ("int f (int n) extra", "expected end of line", 15),
+    ("int f (int n) @", "unexpected character '@'", 15),
+    ("struct f (int n)", "expected function name", 10),
+    ("struct stack * mk (int n) ! uses: stack, queue", "unknown subject type 'queue'", 42),
+    ("struct void *f (struct int x)", "expected struct name, found 'void'", 8),
+    ("int f (struct int x)", "expected struct name, found 'int'", 15),
+    ("struct struct * f (int n)", "expected struct name, found 'struct'", 8),
+    ("%types int", "expected type name, found 'int'", 8),
+    ("%types stack void", "expected type name, found 'void'", 14),
+    # The whole line is tokenized first, so a stray character wins over
+    # the grammar error before it.
+    ("float f @", "unexpected character '@'", 9),
+    ("int f (%types x)", "expected a type ('void', 'int', or 'struct <name>'), found '%types'", 8),
+    # End of line is the comment-stripped length + 1.
+    ("struct s * f (int n  # no closing paren", "expected ')', found end of line", 22),
 ])
-def test_malformed_lines_rejected(line, fragment):
+def test_malformed_lines_rejected(line, fragment, column):
     with pytest.raises(ParseError) as info:
         parse_declarations(line)
     assert fragment in str(info.value)
     assert info.value.line == 1
-    assert info.value.column is not None
+    assert info.value.column == column
 
 
 @pytest.mark.parametrize("text, fragment, line", [
@@ -122,6 +128,17 @@ def test_error_reports_correct_line_number():
     with pytest.raises(ParseError) as info:
         parse_declarations(text)
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_lines_end_at_newline_and_carriage_return_only(line_end):
+    # A form feed, vertical tab or Unicode separator is whitespace inside a
+    # line, so a page break on its own line shifts no later line number.
+    text = line_end.join(["%types s", "int f (struct s * x)", "\x0c",
+                          "int g (struct s * y\x0b\x1c\x85\u2028", ""])
+    with pytest.raises(ParseError, match="expected '\\)', found end of line") as info:
+        parse_declarations(text)
+    assert (info.value.line, info.value.column) == (4, 24)
 
 
 def test_duplicate_function_name_rejected():

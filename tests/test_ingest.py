@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -257,14 +259,18 @@ def test_execute_failure_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("blocked", ["parent is a file", "path is a directory"])
+@pytest.mark.parametrize("blocked", ["parent is a file", "path is a directory",
+                                     "path is a FIFO"])
 def test_unwritable_report_leaves_no_other_output(tmp_path, capsys, blocked):
     blocker = tmp_path / "blocker"
     if blocked == "parent is a file":
         blocker.write_text("x")
         report = blocker / "report.json"
-    else:
+    elif blocked == "path is a directory":
         blocker.mkdir()
+        report = blocker
+    else:
+        os.mkfifo(blocker)
         report = blocker
     config = stacks_config(tmp_path, cut=("k", 2),
                            trace_path=tmp_path / "t.json",
@@ -273,8 +279,28 @@ def test_unwritable_report_leaves_no_other_output(tmp_path, capsys, blocked):
     with pytest.raises(InputOutputError) as info:
         execute(config)
     assert info.value.exit_code == 5
+    if blocked == "path is a FIFO":
+        # A rename would have replaced the FIFO with a regular file.
+        assert "not a regular file" in str(info.value)
+        assert stat.S_ISFIFO(os.stat(blocker).st_mode)
     assert list(tmp_path.iterdir()) == [blocker]
     assert capsys.readouterr().out == ""
+
+
+def test_failed_summary_is_io_error_after_complete_outputs(tmp_path):
+    class BrokenOut:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+    trace = tmp_path / "trace.json"
+    with pytest.raises(InputOutputError) as info:
+        execute(stacks_config(tmp_path, cut=("k", 2), trace_path=trace), out=BrokenOut())
+    assert (info.value.category, info.value.exit_code) == ("io", 5)
+    assert "cannot write the summary to stdout" in str(info.value)
+    json.loads(trace.read_text())
 
 
 def test_execute_is_byte_deterministic(tmp_path):
