@@ -4,6 +4,7 @@ converts a declaration file into a components document."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -88,6 +89,8 @@ def main(argv=None) -> int:
                 report_path=args.report,
             ))
         else:
+            if os.path.realpath(args.out) == os.path.realpath(args.decls):
+                raise ConfigError(f"--decls and --out name the same file {str(args.out)!r}")
             subjects, records = parse_declarations(read_text(args.decls))
             write_text_atomic(args.out,
                               canonical_json(components_document(subjects, records)))

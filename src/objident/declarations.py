@@ -28,8 +28,14 @@ from .features import ComponentRecord
 # character lands in the catch-all group.
 _TOKEN_RE = re.compile(r"%types\b|[A-Za-z_][A-Za-z0-9_]*|[*(),!:]|(\S)")
 
-# Words of the grammar that cannot name a struct or subject type.
+# Words of the grammar that cannot name a struct, subject type, function
+# or parameter.
 _KEYWORDS = ("void", "int", "struct")
+
+
+def _is_name(text: str) -> bool:
+    return text.isidentifier() and text not in _KEYWORDS
+
 
 _Token = tuple[str, int]  # text, 1-based column
 
@@ -71,21 +77,20 @@ def _parse_proto(tokens: list[_Token], line_no: int,
             raise ParseError(
                 f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
                 line=line_no, column=column)
-        struct_name = take("struct name",
-                           lambda text: text.isidentifier() and text not in _KEYWORDS)[0]
+        struct_name = take("struct name", _is_name)[0]
         skip("*")
         return struct_name
 
     returns = parse_type()
-    name = take("function name", str.isidentifier)[0]
+    name = take("function name", _is_name)[0]
     take("'('", "(".__eq__)
     args: list[str] = []
     if not (rest and rest[-1][0] == ")"):
         args.append(parse_type())
-        take("parameter name", str.isidentifier)
+        take("parameter name", _is_name)
         while skip(","):
             args.append(parse_type())
-            take("parameter name", str.isidentifier)
+            take("parameter name", _is_name)
     take("')'", ")".__eq__)
     uses: list[_Token] = []
     if skip("!"):
@@ -132,7 +137,7 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
                                  line=line_no, column=tokens[0][1])
             names = []
             for name, column in tokens[1:]:
-                if not name.isidentifier() or name in _KEYWORDS:
+                if not _is_name(name):
                     raise ParseError(f"expected type name, found {name!r}",
                                      line=line_no, column=column)
                 if name in names:

@@ -13,7 +13,6 @@ import contextlib
 import enum
 import errno
 import json
-import math
 import os
 import sys
 import tempfile
@@ -32,44 +31,11 @@ from .report import label_clusters
 
 
 _encode_str = json.encoder.encode_basestring
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_text(value) -> str | None:
-    """json's text for a string, number, bool or None; None for anything else."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """json's text for a dict key: str, float, bool, None and int keys all
-    become strings."""
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _encode_str(text)
+# json's own text for scalars, keys and containers of scalars.  Its item
+# separator is a line break, and json escapes every line break inside a
+# string, so indenting its text at a depth is one ``replace``.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": ")).encode
+_CONTAINERS = (dict, list, tuple)
 
 
 def canonical_json(doc) -> str:
@@ -77,75 +43,69 @@ def canonical_json(doc) -> str:
     exactly ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``.
 
     Written with an explicit stack, so nesting depth is not limited by the
-    interpreter's recursion limit.  A dict whose values are all scalars is
+    interpreter's recursion limit.  The text of each scalar, key and
+    container of scalars comes from json's encoder.  A dict of scalars is
     rendered once per object and depth and its text reused, and a list of
-    scalars or of such dicts is joined in one step; ``to_structured`` shares
-    one ``{num, den}`` dict between all cells at one distance, so each
-    distinct key is rendered once per depth.  The document must not change
-    during the call.
+    such dicts is joined in one step; ``to_structured`` shares one
+    ``{num, den}`` dict between all cells at one distance, so each distinct
+    key is rendered once per depth.  The document must not change during
+    the call.
     """
-    # Per depth: the line break before an item, the separator between two
-    # items, and id(dict) -> text of each dict of scalars rendered there.
+    # Per depth: the line break before an item, and id(dict) -> text of each
+    # dict of scalars rendered there.
     newlines = ["\n"]
-    separators = [",\n"]
     flat_dicts: list[dict[int, str]] = [{}]
-    rendered = []  # keeps the ids in flat_dicts in use
 
     def newline(depth: int) -> str:
         while len(newlines) <= depth:
             newlines.append(newlines[-1] + "  ")
-            separators.append("," + newlines[-1])
             flat_dicts.append({})
         return newlines[depth]
 
+    def indented(text: str, depth: int) -> str:
+        """The encoder's text of a non-empty container, indented at ``depth``."""
+        inner = newline(depth + 1)
+        return text[0] + inner + text[1:-1].replace("\n", inner) + newlines[depth] + text[-1]
+
     def flat_item(value, depth: int) -> str | None:
-        """Text of a scalar, an empty container or a dict of scalars at
-        ``depth``; None for anything else."""
-        text = _scalar_text(value)
-        if text is not None or not isinstance(value, (dict, list, tuple)):
-            return text
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
+        """Text at ``depth`` of a scalar, an empty container or a dict of
+        scalars; None for anything else."""
+        if not isinstance(value, _CONTAINERS) or not value:
+            return _encode(value)
         if not isinstance(value, dict):
             return None
-        inner = newline(depth + 1)
         text = flat_dicts[depth].get(id(value))
         if text is None:
-            parts = []
-            for key, item in value.items():
-                item_text = _scalar_text(item)
-                if item_text is None:
-                    return None
-                parts.append(_key_text(key) + ": " + item_text)
-            text = "{" + inner + separators[depth + 1].join(parts) + newlines[depth] + "}"
-            flat_dicts[depth][id(value)] = text
-            rendered.append(value)
+            if any(isinstance(item, _CONTAINERS) for item in value.values()):
+                return None
+            text = flat_dicts[depth][id(value)] = indented(_encode(value), depth)
         return text
 
     def flat(value, depth: int) -> str | None:
-        """Text of a value that needs no frame: what ``flat_item`` takes, or
-        a list of those; None for any other value."""
+        """Text at ``depth`` of a value that needs no frame: what
+        ``flat_item`` takes, or a list of scalars or of those; None for any
+        other value."""
         if not isinstance(value, (list, tuple)) or not value:
             return flat_item(value, depth)
         inner = newline(depth + 1)
         kinds = set(map(type, value))
         if kinds == {str}:
-            parts = list(map(_encode_str, value))
-        elif kinds <= _SCALAR_TYPES:
-            parts = list(map(_scalar_text, value))
+            parts = map(_encode_str, value)
         else:
             parts = list(map(flat_dicts[depth + 1].get, map(id, value)))
             if None in parts:
+                if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+                    return indented(_encode(value), depth)
                 parts = [flat_item(item, depth + 1) if text is None else text
                          for text, item in zip(parts, value)]
                 if None in parts:
                     return None
-        return "[" + inner + separators[depth + 1].join(parts) + newlines[depth] + "]"
+        return "[" + inner + ("," + inner).join(parts) + newlines[depth] + "]"
 
     out: list[str] = []
     open_ids: set[int] = set()
     # Frames: [items iterator, is a dict, depth of its items, the container,
-    # whether an item has been written].
+    # the text before its next item].
     stack: list[list] = []
 
     def write(value, depth: int) -> None:
@@ -153,28 +113,27 @@ def canonical_json(doc) -> str:
         if text is not None:
             out.append(text)
             return
-        is_dict = isinstance(value, dict)
-        if not is_dict and not isinstance(value, (list, tuple)):
-            raise TypeError(f"Object of type {value.__class__.__name__} "
-                            f"is not JSON serializable")
         if id(value) in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(id(value))
-        out.append(("{" if is_dict else "[") + newline(depth + 1))
+        is_dict = isinstance(value, dict)
+        out.append("{" if is_dict else "[")
         stack.append([iter(value.items() if is_dict else value), is_dict,
-                      depth + 1, value, False])
+                      depth + 1, value, newline(depth + 1)])
 
     write(doc, 0)
     while stack:
         frame = stack[-1]
         items, is_dict, depth = frame[0], frame[1], frame[2]
+        separator = "," + newlines[depth]
         for item in items:
-            if frame[4]:
-                out.append(separators[depth])
-            frame[4] = True
+            out.append(frame[4])
+            frame[4] = separator
             if is_dict:
                 key, item = item
-                out.append(_key_text(key) + ": ")
+                # Any other key: json's text of {key: 0} less "{" and ": 0}".
+                out.append((_encode_str(key) if isinstance(key, str)
+                            else _encode({key: 0})[1:-4]) + ": ")
             write(item, depth)
             if stack[-1] is not frame:
                 break
@@ -400,7 +359,7 @@ class RunConfig:
     def __post_init__(self):
         if self.report_path is not None and self.cut is None:
             raise ConfigError("--report requires --cut (a report labels a flat partition)")
-        flags: dict[str, str] = {}
+        flags = {os.path.realpath(self.input_path): "--input"}
         for flag, path in (("--trace", self.trace_path), ("--dendrogram", self.dendrogram_path),
                            ("--report", self.report_path)):
             if path is not None:

@@ -140,6 +140,32 @@ def test_two_outputs_on_one_path_is_config_error(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--dendrogram", "--report"])
+def test_output_naming_the_input_is_config_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    corpus = tmp_path / "c.json"
+    corpus.write_bytes(Path(STACKS).read_bytes())
+    code = main(["cluster", "--input", "c.json", "--kind", "components",
+                 "--cut", "k:2", flag, "./c.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: --input and {flag} name the same file 'c.json'" in err
+    assert corpus.read_bytes() == Path(STACKS).read_bytes()
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
+def test_parse_output_naming_the_input_is_config_error(tmp_path, capsys):
+    decls = tmp_path / "f.decls"
+    decls.write_bytes(Path(STACKS_DECLS).read_bytes())
+    link = tmp_path / "link.decls"
+    link.symlink_to(decls)
+    assert main(["parse", "--decls", str(decls), "--out", str(link)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: --decls and --out name the same file {str(link)!r}" in err
+    assert decls.read_bytes() == Path(STACKS_DECLS).read_bytes()
+    assert sorted(tmp_path.iterdir()) == [decls, link]
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_cut_size_below_one_is_config_error(tmp_path, monkeypatch, capsys, size):
     # The input does not exist, so exit 2 rather than 5 shows the size is

@@ -95,6 +95,12 @@ def test_comments_and_blank_lines_ignored():
     ("struct struct * f (int n)", "expected struct name, found 'struct'", 8),
     ("%types int", "expected type name, found 'int'", 8),
     ("%types stack void", "expected type name, found 'void'", 14),
+    ("struct s struct (int void, struct s int) ! uses: s",
+     "expected function name, found 'struct'", 10),
+    ("int void (int n)", "expected function name, found 'void'", 5),
+    ("int f (int void)", "expected parameter name, found 'void'", 12),
+    ("int f (int n, struct s int)", "expected parameter name, found 'int'", 24),
+    ("void f (int struct)", "expected parameter name, found 'struct'", 13),
     # The whole line is tokenized first, so a stray character wins over
     # the grammar error before it.
     ("float f @", "unexpected character '@'", 9),

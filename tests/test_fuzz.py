@@ -6,10 +6,17 @@ bytes that are not UTF-8, not a ``RecursionError`` from JSON nested deeper
 than the interpreter's recursion limit, and not the ``ValueError`` of a
 JSON number with more digits than ``int()`` converts.  And whatever
 ``parse_declarations`` returns converts to a components document that
-``parse_components`` reads back unchanged.
+``parse_components`` reads back unchanged.  The command line, given any
+corpus and any mix of flags, exits 0 or with an ``error[<category>]`` line
+and its exit code, and a failed run leaves the directory as it found it.
 """
 
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +28,7 @@ from objident import (
     parse_components,
     parse_declarations,
 )
+from objident.cli import main
 from objident.ingest import read_text
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -111,3 +119,72 @@ def test_read_text_ends_in_text_or_error(tmp_path_factory, data):
         assert "byte offset" in str(exc)
         return
     assert text == path.read_text(encoding="utf-8")
+
+
+# Small components documents, most of which pass the schema checks.
+def documents_over(subjects):
+    subject = st.sampled_from(subjects)
+    return st.fixed_dictionaries({
+        "subject_types": st.just(subjects),
+        "components": st.lists(st.fixed_dictionaries({
+            "name": st.sampled_from(["f", "g", "h", "i", "j", "k"]),
+            "returns": st.none() | subject,
+            "args": st.lists(subject | st.just("int"), max_size=3),
+            "uses_fields": st.lists(subject, max_size=2, unique=True),
+        }), min_size=2, max_size=6, unique_by=lambda component: component["name"]),
+    })
+
+
+components_documents = st.lists(st.sampled_from(["s", "t", "u"]), min_size=1, max_size=3,
+                                unique=True).flatmap(documents_over).map(json.dumps)
+
+corpora = (st.tuples(st.just("components"), components_documents)
+           | st.tuples(st.just("decls"), declaration_files)
+           | st.tuples(st.sampled_from(["components", "decls"]),
+                       components_like | declaration_like | st.text()))
+
+
+def flag(name, *values):
+    """The flag with one of ``values``, or nothing for None."""
+    return st.sampled_from(values).map(lambda value: [] if value is None else [name, value])
+
+
+cli_options = st.tuples(
+    flag("--metric", None, "euclidean", "manhattan", "SMC", "jaccard", "cosine"),
+    flag("--policy", None, "sequential", "paper", "PAPER"),
+    flag("--cut", None, "k:1", "k:2", "k:3", "h:0", "h:0.5", "h:1.25", "k:0", "h:-1.5"),
+    flag("--format", None, "ascii", "dot", "structured"),
+)
+# Relative to the run's directory, which holds the input "in" and the
+# directory "d"; a failed run must leave only those two, and no temp file.
+cli_outputs = st.dictionaries(st.sampled_from(["--trace", "--dendrogram", "--report"]),
+                              st.sampled_from(["t.json", "r.json", "sub/o.txt", "./in", "d"]))
+EXIT_CODES = {"config": 2, "parse": 3, "validation": 4, "io": 5}
+
+
+@FUZZ
+@given(corpora, cli_options, cli_outputs)
+def test_cli_exits_with_a_category_and_leaves_nothing_on_failure(corpus, options, outputs):
+    kind, text = corpus
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        source = work / "in"
+        source.write_text(text, encoding="utf-8")
+        data = source.read_bytes()
+        (work / "d").mkdir()
+        argv = ["cluster", "--input", str(source), "--kind", kind, *sum(options, [])]
+        for option, path in outputs.items():
+            argv += [option, str(work / path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert source.read_bytes() == data
+        left = {str(path.relative_to(work)) for path in work.rglob("*")}
+        if code == 0:
+            written = {str(Path(path)) for path in outputs.values()}
+            assert left == {"in", "d", *written, *(Path(path).parts[0] for path in written)}
+            return
+        last = err.getvalue().splitlines()[-1]
+        category = re.fullmatch(r"error\[(\w+)\]: .+", last).group(1)
+        assert EXIT_CODES[category] == code
+        assert left == {"in", "d"} and out.getvalue() == ""

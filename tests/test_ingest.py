@@ -1,3 +1,5 @@
+import collections
+import enum
 import errno
 import json
 import os
@@ -102,7 +104,7 @@ def test_canonical_json_roundtrip_on_fixture():
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.text())
-json_keys = st.text() | st.integers() | st.booleans() | st.none()
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
 json_values = st.recursive(
     json_scalars,
     lambda inner: (st.lists(inner) | st.lists(st.text()) | st.tuples(inner, inner)
@@ -128,6 +130,45 @@ def test_canonical_json_rejects_cycles():
     itself["x"] = itself
     with pytest.raises(ValueError, match="Circular reference"):
         canonical_json(itself)
+    within: list = []
+    within.append(within)
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json(within)
+
+
+def test_canonical_json_nests_lists_past_the_recursion_limit():
+    depth = 5000
+    doc: list = []
+    for _ in range(depth):
+        doc = [doc]
+    lines = ["  " * level + "[" for level in range(depth)]
+    lines += ["  " * depth + "[]"] + ["  " * level + "]" for level in reversed(range(depth))]
+    assert canonical_json(doc) == "\n".join(lines) + "\n"
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+@pytest.mark.parametrize("doc", [
+    Colour.RED,
+    [Colour.RED, 2, [Colour.RED]],
+    {Colour.RED: Colour.RED, "flat": {Colour.RED: 0}, "list": [{Colour.RED: 1}]},
+    Name("n\u00e9\n"),
+    [Name("a"), "b", [Name("c")]],
+    {Name("k"): Name("v"), "nested": {Name("k"): [Name("v")]}},
+    [1, Point(2, 3), [Point(4, [5])]],
+    collections.OrderedDict(a=Point(1, 2), b=collections.OrderedDict(c=[Point(3, 4)])),
+])
+def test_canonical_json_matches_json_dumps_on_subclasses(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_parse_cut_spec():
