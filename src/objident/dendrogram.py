@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .metrics import ExactDissimilarity
@@ -54,7 +54,8 @@ class Dendrogram:
             low[nid] = min(map(low.__getitem__, kids)) if kids else nid
         return low
 
-    def _leaves(self, node_id: int) -> list[int]:
+    def members(self, node_id: int) -> frozenset[int]:
+        """Leaf ids of the subtree at ``node_id``, by an explicit-stack walk."""
         leaves = []
         stack = [node_id]
         while stack:
@@ -64,15 +65,11 @@ class Dendrogram:
                 stack.extend(kids)
             else:
                 leaves.append(nid)
-        return leaves
-
-    def members(self, node_id: int) -> frozenset[int]:
-        """Leaf ids contained in the subtree rooted at ``node_id``."""
-        return frozenset(self._leaves(node_id))
+        return frozenset(leaves)
 
     def leaf_labels(self, node_id: int) -> tuple[str, ...]:
         """Leaf labels of a subtree, ordered by leaf id."""
-        return tuple(self.nodes[i].label for i in sorted(self._leaves(node_id)))
+        return tuple(self.nodes[i].label for i in sorted(self.members(node_id)))
 
     def ordered_children(self, node_id: int) -> tuple[int, ...]:
         """Children sorted by their smallest contained leaf id."""
@@ -90,7 +87,7 @@ class PartitionGroup:
 Partition = tuple[PartitionGroup, ...]
 
 
-def _as_groups(d: Dendrogram, node_ids: list[int]) -> Partition:
+def _as_groups(d: Dendrogram, node_ids: Iterable[int]) -> Partition:
     ordered = sorted(node_ids, key=d._min_leaf.__getitem__)
     return tuple(
         PartitionGroup(d.nodes[g].label, d.leaf_labels(g)) for g in ordered)
@@ -99,18 +96,21 @@ def _as_groups(d: Dendrogram, node_ids: list[int]) -> Partition:
 def cut_k(d: Dendrogram, k: int) -> Partition:
     """Undo merges from the top (highest creation order first) down to k groups.
 
-    Multiway merge nodes split into all their children at once, so with
-    such nodes some group counts are not reachable; those raise
-    ValidationError rather than returning an approximate cut.
+    Once the merges above id t are undone, merge t is a group (its parent
+    is newer) and the newest one, so one walk down the merge ids does the
+    cut in O(n).  Multiway merge nodes split into all their children at
+    once, so with such nodes some group counts are not reachable; those
+    raise ValidationError rather than returning an approximate cut.
     """
     if not 1 <= k <= d.n_leaves:
         raise ValidationError(
             f"cut size {k} out of range 1..{d.n_leaves}")
-    groups = [d.root]
-    while len(groups) < k:
-        target = max(g for g in groups if not d.nodes[g].is_leaf)
+    groups = {d.root}
+    for target in range(d.root, d.n_leaves - 1, -1):
+        if len(groups) >= k:
+            break
         groups.remove(target)
-        groups.extend(d.nodes[target].children)
+        groups.update(d.nodes[target].children)
     if len(groups) != k:
         raise ValidationError(
             f"cut of exactly {k} groups is not reachable: a multiway merge "

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heapreplace
 from itertools import chain
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .dendrogram import DendroNode, Dendrogram
 from .errors import ConfigError, ValidationError
@@ -69,7 +69,9 @@ class ProximityMatrix:
     distance between ``active[p]`` and ``active[q]``, and ``exact`` maps each
     int to its ``ExactDissimilarity``, one value shared by all cells at it.
     ``cells`` maps (i, j) ids, i < j, to the dissimilarity; it is built on
-    first read.  The diagonal is implicitly zero and never stored.
+    first read.  These three are the readers: ``cells[i, j]`` for one pair,
+    ``cells.items()`` for all of them.  The diagonal is implicitly zero and
+    never stored, so no (i, i) key exists.
     """
 
     active: tuple[DendroNode, ...]
@@ -88,19 +90,6 @@ class ProximityMatrix:
         for pos, (b, row) in enumerate(zip(ids, self.keys)):
             cells.update(zip(((a, b) for a in ids[:pos]), map(self.exact.__getitem__, row)))
         return cells
-
-    def get(self, i: int, j: int) -> ExactDissimilarity:
-        """Cell for two distinct active cluster ids, in either order."""
-        if i == j:
-            raise ValidationError("diagonal cells are not stored")
-        return self.cells[(i, j) if i < j else (j, i)]
-
-    def pairs(self) -> Iterator[tuple[DendroNode, DendroNode, ExactDissimilarity]]:
-        """All unordered pairs in ascending lexicographic (i, j) id order."""
-        for a_pos in range(len(self.active)):
-            for b_pos in range(a_pos + 1, len(self.active)):
-                a, b = self.active[a_pos], self.active[b_pos]
-                yield a, b, self.cells[(a.id, b.id)]
 
 
 class Merge(NamedTuple):

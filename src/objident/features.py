@@ -46,6 +46,8 @@ class ComponentRecord:
             raise ValidationError("component name must be non-empty")
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "uses_fields", frozenset(self.uses_fields))
+        if self.returns == "" or "" in self.args or "" in self.uses_fields:
+            raise ValidationError(f"component {self.name!r} names an empty type")
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,6 @@ class RelationSchema:
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.relations)
 
-    def columns_for_subject(self, subject: str) -> tuple[int, ...]:
-        """Indices of the columns whose subject is ``subject``."""
-        return tuple(i for i, r in enumerate(self.relations) if r.subject == subject)
-
 
 def derive_relations(subject_types: Sequence[str]) -> RelationSchema:
     """Build the kind-major relation schema for the given subject types."""
@@ -88,6 +86,8 @@ def derive_relations(subject_types: Sequence[str]) -> RelationSchema:
             raise ValidationError("subject type names must be non-empty")
         if name in seen:
             raise ValidationError(f"duplicate subject type: {name!r}")
+        if name in ("void", "int"):
+            raise ValidationError(f"{name!r} is a primitive type, not a subject type")
         seen.add(name)
     relations = []
     for kind in (RelationKind.RETURNS, RelationKind.HAS_ARG, RelationKind.USES_FIELD):

@@ -264,15 +264,17 @@ def read_text(path: Path | str) -> str:
 def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
     """Write each (path, text) pair to a sibling temp file, then rename them
     all.  Nothing is renamed until every write has succeeded, and a failure
-    removes every temp file, so a failed call leaves no output behind.  A
-    target that exists but is not a regular file is refused before anything
-    is written: a directory would fail only at its rename, and a FIFO,
-    socket or device would be replaced by it.  Each file gets the mode a
-    plain ``open(path, "w")`` would give it, 0o666 less the umask."""
+    removes every temp file and then every directory the call made, deepest
+    first, so a failed call leaves no output behind.  A target that exists
+    but is not a regular file is refused before anything is written: a
+    directory would fail only at its rename, and a FIFO, socket or device
+    would be replaced by it.  Each file gets the mode a plain
+    ``open(path, "w")`` would give it, 0o666 less the umask."""
     umask = os.umask(0)
     os.umask(umask)
     outputs = [(Path(path), text) for path, text in outputs]
     staged: list[tuple[str, Path]] = []
+    made: list[Path] = []
     path = None
     try:
         try:
@@ -282,7 +284,10 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
                 if path.exists() and not path.is_file():
                     raise OSError("not a regular file")
             for path, text in outputs:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                for folder in reversed((path.parent, *path.parent.parents)):
+                    if not folder.is_dir():
+                        folder.mkdir()
+                        made.append(folder)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
                 staged.append((tmp, path))
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -294,6 +299,9 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
             for tmp, _ in staged:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
+            for folder in reversed(made):
+                with contextlib.suppress(OSError):
+                    folder.rmdir()
             raise
     except OSError as exc:
         raise InputOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -13,7 +13,6 @@ from __future__ import annotations
 import decimal
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,7 +55,8 @@ class ExactDissimilarity:
 
     key is >= 0 and is 0 exactly when the metric treats the rows as
     identical.  Ordering is exact rational comparison and is only defined
-    between values of the same metric.
+    between values of the same metric.  A magnitude has two readers: ``key``
+    (exact; the squared distance under Euclidean) and ``display`` (rounded).
     """
 
     key: Fraction
@@ -69,13 +69,6 @@ class ExactDissimilarity:
             raise ValueError(
                 f"cannot order {self.metric.value} against {other.metric.value}")
         return self.key < other.key
-
-    @property
-    def value(self) -> float:
-        """Unrounded magnitude: sqrt(key) for Euclidean, key otherwise."""
-        if self.metric is Metric.EUCLIDEAN:
-            return math.sqrt(self.key)
-        return float(self.key)
 
     @property
     def display(self) -> str:

@@ -73,22 +73,22 @@ def label_clusters(partition: Sequence, pattern: PatternMatrix,
 
     The partition must cover every pattern row exactly once; groups may be
     PartitionGroup objects (from the dendrogram cuts) or plain name
-    sequences, which get positional G1, G2, ... labels.
+    sequences, which get positional G1, G2, ... labels.  Each group's column
+    sums go to their subjects in one pass over ``schema.relations``.
     """
     groups = _normalize(partition)
     covered = [name for _, members in groups for name in members]
     if sorted(covered) != sorted(pattern.row_labels):
         raise ValidationError(
             "partition does not cover the pattern rows exactly once")
-    subject_columns = {
-        t: schema.columns_for_subject(t) for t in schema.subject_types}
+    column_subjects = [r.subject for r in schema.relations]
     row_of = dict(zip(pattern.row_labels, pattern.rows))
     entries = []
     for label, members in groups:
-        rows = [row_of[name] for name in members]
-        sums = list(map(sum, zip(*rows))) if rows else [0] * pattern.n_cols
-        counts = {t: sum(map(sums.__getitem__, cols))
-                  for t, cols in subject_columns.items()}
+        counts = dict.fromkeys(schema.subject_types, 0)
+        sums = map(sum, zip(*(row_of[name] for name in members)))
+        for subject, bits in zip(column_subjects, sums):
+            counts[subject] += bits
         total = sum(counts.values())
         best = max(counts.values())
         tied = tuple(t for t in schema.subject_types if counts[t] == best)

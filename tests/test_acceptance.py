@@ -13,6 +13,7 @@ and with the reference tables everywhere else.
 
 import itertools
 import json
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -137,9 +138,9 @@ def test_criterion_2_first_proximity_with_corrections(stacks):
 
         mismatches = {}
         for pair, reference in REFERENCE_FIRST_PROXIMITY.items():
-            a, b = sorted(pair)
-            cell = prox.get(ids[a], ids[b])
-            assert abs(cell.value - oracle_values[pair]) < 1e-9
+            i, j = sorted(ids[name] for name in pair)
+            cell = prox.cells[i, j]
+            assert abs(math.sqrt(cell.key) - oracle_values[pair]) < 1e-9
             if abs(float(cell.display) - reference) > 0.005:
                 mismatches[pair] = cell
         assert len(REFERENCE_FIRST_PROXIMITY) == 45
@@ -176,10 +177,10 @@ def test_criterion_3_round_trace_fidelity(stacks):
             assert len(reference) == len(prox.cells)
             mismatches = {}
             for pair, printed in reference.items():
-                a, b = sorted(pair)
-                cell = prox.get(ids[a], ids[b])
+                i, j = sorted(ids[name] for name in pair)
+                cell = prox.cells[i, j]
                 expected = oracle.group_key(
-                    "euclidean", rows, dend.members(ids[a]), dend.members(ids[b]))
+                    "euclidean", rows, dend.members(i), dend.members(j))
                 assert cell.key == expected
                 if abs(float(cell.display) - printed) > 0.005:
                     mismatches[pair] = cell
@@ -215,10 +216,10 @@ def test_criterion_5_property_suite():
             for policy in MergePolicy:
                 dend, trace = cluster(pattern, metric, policy=policy)
                 for merge_round in trace:
-                    for a, b, cell in merge_round.matrix_after.pairs():
+                    for (a, b), cell in merge_round.matrix_after.cells.items():
                         expected = min(
                             pairwise[p][q]
-                            for p in dend.members(a.id) for q in dend.members(b.id))
+                            for p in dend.members(a) for q in dend.members(b))
                         assert cell.key == expected
             heights = [r.min_key.key for r in cluster(pattern, metric).trace]
             assert heights == sorted(heights)
@@ -247,7 +248,7 @@ def test_criterion_5_property_suite():
                 assert 0 <= forward.key <= upper
                 if a == b:
                     assert forward.key == 0
-            assert abs(distance(Metric.EUCLIDEAN, a, b).value
+            assert abs(math.sqrt(distance(Metric.EUCLIDEAN, a, b).key)
                        - oracle.euclidean_value(a, b)) < 1e-9
 
 

@@ -232,7 +232,7 @@ def reference_matrix(prox):
     """One display string and one fresh key dict per cell, read through
     ``matrix_after``'s ``ProximityMatrix``."""
     rows = range(1, len(prox.active))
-    cells = [[prox.get(prox.active[j].id, prox.active[i].id) for j in range(i)]
+    cells = [[prox.cells[prox.active[j].id, prox.active[i].id] for j in range(i)]
              for i in rows]
     return {"labels": [c.label for c in prox.active],
             "display_values": [[c.display for c in row] for row in cells],
@@ -293,6 +293,7 @@ def test_deep_chain_renders_and_cuts():
     assert render_dot(d).count(" -> ") == 9998
     assert [(g.label, len(g.members)) for g in cut_k(d, 2)] == [("C4998", 4999),
                                                                 ("f4999", 1)]
+    assert [g.label for g in cut_k(d, 4000)] == ["C1000"] + [f"f{i}" for i in range(1001, 5000)]
     assert d.leaf_labels(d.root)[:3] == ("f0", "f1", "f2")
 
 

@@ -59,7 +59,7 @@ def pair_ints(pattern, metric):
 
 def by_label(prox, a, b):
     ids = {c.label: c.id for c in prox.active}
-    return prox.get(ids[a], ids[b])
+    return prox.cells[tuple(sorted((ids[a], ids[b])))]
 
 
 def leaf_members(dend, node_id):
@@ -198,10 +198,10 @@ def test_cells_match_brute_force_on_random_matrices():
             dend, trace = cluster(pattern, metric, policy=policy)
             for merge_round in trace:
                 prox = merge_round.matrix_after
-                for a, b, cell in prox.pairs():
+                for (a, b), cell in prox.cells.items():
                     expected = oracle.group_key(
                         METRIC_NAMES[metric], rows,
-                        dend.members(a.id), dend.members(b.id))
+                        dend.members(a), dend.members(b))
                     assert cell.key == expected
 
 
@@ -232,9 +232,9 @@ def assert_matches_oracle(rows, metric):
                 members[new] = frozenset().union(*(members.pop(i) for i in group))
             prox = merge_round.matrix_after
             assert [c.id for c in prox.active] == sorted(members)
-            for a, b, cell in prox.pairs():
+            for (a, b), cell in prox.cells.items():
                 assert cell.key == oracle.group_key(
-                    name, rows, members[a.id], members[b.id])
+                    name, rows, members[a], members[b])
 
 
 def test_tie_order_and_snapshots_match_oracle_both_policies():
@@ -373,8 +373,7 @@ def test_name_resolution_helpers():
 def test_proximity_matrix_diagonal_not_stored(stacks):
     prox = initial_proximity(stacks.pattern, Metric.EUCLIDEAN)
     assert len(prox.cells) == 45
-    with pytest.raises(ValidationError):
-        prox.get(0, 0)
+    assert (0, 0) not in prox.cells
 
 
 @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)

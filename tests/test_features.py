@@ -52,6 +52,12 @@ def test_derive_relations_empty():
         derive_relations([])
 
 
+@pytest.mark.parametrize("primitive", ["void", "int"])
+def test_derive_relations_refuses_primitive_types(primitive):
+    with pytest.raises(ValidationError, match=f"'{primitive}' is a primitive type"):
+        derive_relations(["stack", primitive])
+
+
 def test_relation_count_scales_with_subjects():
     for n in (1, 2, 5):
         schema = derive_relations([f"t{i}" for i in range(n)])
@@ -154,3 +160,10 @@ def test_empty_record_list_rejected():
 def test_empty_component_name_rejected():
     with pytest.raises(ValidationError):
         ComponentRecord("")
+
+
+@pytest.mark.parametrize("fields", [{"returns": ""}, {"args": ("stack", "")},
+                                    {"uses_fields": frozenset({""})}])
+def test_empty_type_name_rejected(fields):
+    with pytest.raises(ValidationError, match="'g' names an empty type"):
+        ComponentRecord("g", **fields)

@@ -328,6 +328,22 @@ def test_unwritable_report_leaves_no_other_output(tmp_path, capsys, blocked):
     assert capsys.readouterr().out == ""
 
 
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    config = stacks_config(tmp_path, cut=("k", 2),
+                           trace_path=kept / "sub" / "deeper" / "t.json",
+                           dendrogram_path=blocker / "x")
+    with pytest.raises(InputOutputError) as info:
+        execute(config)
+    assert "File exists" in str(info.value)
+    assert sorted(tmp_path.iterdir()) == [blocker, kept]
+    assert list(kept.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_failed_summary_is_io_error_after_complete_outputs(tmp_path):
     class BrokenOut:
         def write(self, text):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -120,7 +121,8 @@ def test_euclidean_value_matches_float_oracle_exhaustively():
     rows = list(itertools.product((0, 1), repeat=6))
     for a in rows:
         for b in rows:
-            assert abs(distance(Metric.EUCLIDEAN, a, b).value - oracle.euclidean_value(a, b)) < 1e-9
+            assert abs(math.sqrt(distance(Metric.EUCLIDEAN, a, b).key)
+                       - oracle.euclidean_value(a, b)) < 1e-9
 
 
 def test_ordering_is_exact_and_same_metric_only():
