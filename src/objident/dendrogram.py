@@ -1,4 +1,5 @@
-"""Merge tree: flat cuts and ASCII / DOT / structured-document renderings.
+"""Merge tree: flat cuts and ASCII / DOT / structured-document renderings,
+the last both as a dict and as the chunks of its text.
 
 Node ids follow creation order (leaves 0..n-1, merged clusters n, n+1, ...),
 so a child's id is always smaller than its parent's.  All renderings are
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .metrics import ExactDissimilarity
@@ -214,45 +216,96 @@ def _node_doc(d: Dendrogram) -> dict:
 
 
 class _CellText(dict):
-    """Int distance -> its display string, made on first use; ``key_docs``
-    gets the same keys' ``{num, den}`` dicts at the same time."""
+    """Int distance -> ``show(value)`` of its ``ExactDissimilarity``, made
+    on first use; ``exact_keys`` gets ``show_key(value.key)`` of the same
+    ints at the same time."""
 
-    def __init__(self, exact: Mapping[int, ExactDissimilarity]):
+    def __init__(self, exact: Mapping[int, ExactDissimilarity],
+                 show=attrgetter("display"), show_key=_key_doc):
         super().__init__()
-        self._exact = exact
-        self.key_docs: dict[int, dict] = {}
+        self._exact, self._show, self._show_key = exact, show, show_key
+        self.exact_keys: dict[int, object] = {}
 
-    def __missing__(self, key: int) -> str:
+    def __missing__(self, key: int):
         value = self._exact[key]
-        self.key_docs[key] = _key_doc(value.key)
-        text = self[key] = value.display
+        self.exact_keys[key] = self._show_key(value.key)
+        text = self[key] = self._show(value)
         return text
+
+
+def _round_doc(r: "MergeRound") -> dict:
+    """A round's entry in ``rounds``, less its ``matrix``."""
+    return {
+        "round": r.round_index,
+        "min_display": r.min_key.display,
+        "min_key": _key_doc(r.min_key.key),
+        "merges": [
+            {
+                "label": m.new.label,
+                "member_labels": [c.label for c in m.constituents],
+            }
+            for m in r.merges
+        ],
+    }
 
 
 def _matrix_doc(matrix: "ProximityMatrix", text: _CellText) -> dict:
     # Display strings first: looking them up makes any missing key doc.
     display_rows = [list(map(text.__getitem__, keys)) for keys in matrix.keys[1:]]
-    key_rows = [list(map(text.key_docs.__getitem__, keys)) for keys in matrix.keys[1:]]
+    key_rows = [list(map(text.exact_keys.__getitem__, keys)) for keys in matrix.keys[1:]]
     return {"labels": [c.label for c in matrix.active],
             "display_values": display_rows, "exact_keys": key_rows}
+
+
+# The line break and indent before an item at each depth of the document.
+_INDENT = ["\n" + "  " * depth for depth in range(7)]
+
+
+def _text_at(doc, depth: int) -> str:
+    """``canonical_json(doc)`` without its final line break, indented to
+    stand at ``depth``: json escapes every line break inside a string, so
+    each one left starts a line."""
+    from .ingest import canonical_json  # ingest imports this module
+    return canonical_json(doc)[:-1].replace("\n", _INDENT[depth])
+
+
+def _matrix_text(matrix: "ProximityMatrix", text: _CellText) -> Iterator[str]:
+    """``_matrix_doc``'s text as the value of a round's ``matrix``, a chunk
+    per row of cells; ``text`` has each cell's text at its depth, 6."""
+    yield '{%s"labels": %s,%s"display_values": ' % (
+        _INDENT[4], _text_at([c.label for c in matrix.active], 4), _INDENT[4])
+    # Display texts first: looking them up makes any missing key text.
+    for cells, after in ((text, ',%s"exact_keys": ' % _INDENT[4]),
+                         (text.exact_keys, _INDENT[3] + "}")):
+        if len(matrix.keys) < 2:
+            yield "[]" + after
+            continue
+        sep, opener = "," + _INDENT[6], "[" + _INDENT[5] + "[" + _INDENT[6]
+        for keys in matrix.keys[1:]:
+            yield opener + sep.join(map(cells.__getitem__, keys))
+            opener = _INDENT[5] + "]," + _INDENT[5] + "[" + _INDENT[6]
+        yield _INDENT[5] + "]" + _INDENT[4] + "]" + after
 
 
 def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
                   schema=None, pattern: "PatternMatrix | None" = None,
                   report: "CandidateObjectReport | None" = None) -> dict:
-    """Assemble the machine-readable output document.
+    """Assemble the machine-readable output document, as a dict.
 
     Always contains ``rounds`` (per-round merges plus lower-triangle matrix
     snapshots with 2-decimal display values and exact rational keys) and
     ``dendrogram``; ``schema``, ``pattern_matrix``, and ``report`` sections
     are included when the corresponding inputs are given.
 
-    The snapshots of a sequential run hold O(n^3) cells, each one a
-    lookup: they are read from each round's ``matrix_after.keys``, the
-    engine's int distances, without building its ``cells``; every
-    distinct distance gets one display string and one ``{num, den}`` dict,
-    so all cells at the same distance share one dict object.  The nested
-    ``dendrogram`` is built without recursion, for trees of any depth.
+    This is the document's dict view and the reference for its text:
+    ``canonical_json`` of it is exactly the text that ``structured_chunks``
+    yields, which is what the command line writes.  The snapshots of a
+    sequential run hold O(n^3) cells, each one a lookup: they are read from
+    each round's ``matrix_after.keys``, the engine's int distances, without
+    building its ``cells``; every distinct distance gets one display string
+    and one ``{num, den}`` dict, so all cells at the same distance share one
+    dict object.  The nested ``dendrogram`` is built without recursion, for
+    trees of any depth.
     """
     doc: dict = {}
     if schema is not None:
@@ -275,20 +328,49 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
         matrix = r.matrix_after
         if text is None:
             text = _CellText(matrix.exact)
-        doc["rounds"].append({
-            "round": r.round_index,
-            "min_display": r.min_key.display,
-            "min_key": _key_doc(r.min_key.key),
-            "merges": [
-                {
-                    "label": m.new.label,
-                    "member_labels": [c.label for c in m.constituents],
-                }
-                for m in r.merges
-            ],
-            "matrix": _matrix_doc(matrix, text),
-        })
+        doc["rounds"].append(dict(_round_doc(r), matrix=_matrix_doc(matrix, text)))
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()
     return doc
+
+
+def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
+                      schema=None, pattern: "PatternMatrix | None" = None,
+                      report: "CandidateObjectReport | None" = None) -> Iterator[str]:
+    """The text of ``canonical_json(to_structured(...))``, in chunks.
+
+    The text around ``rounds`` is ``canonical_json`` of ``to_structured``
+    with no rounds, and each round's merges come from the same dict as
+    there.  The matrix cells are never built as documents: each row of
+    ``display_values`` and of ``exact_keys`` is one join of the texts of its
+    ints, made once per distinct int, and is one chunk.  So a sequential
+    run's O(n^3) snapshots are rendered a row at a time, as the replay gives
+    each round's ``keys``, and are never held whole; a consumer that writes
+    the chunks as they come holds one round's matrix at a time.
+    """
+    from .ingest import canonical_json  # ingest imports this module
+
+    # json escapes every line break inside a string, so this one can only
+    # be the break before the top-level key.
+    no_rounds = _INDENT[1] + '"rounds": []'
+    head, _, tail = canonical_json(to_structured(
+        d, (), schema=schema, pattern=pattern, report=report)).partition(no_rounds)
+    if not trace:
+        yield head + no_rounds
+    else:
+        yield head + no_rounds[:-1]
+        text = None
+        for index, r in enumerate(trace):
+            matrix = r.matrix_after
+            if text is None:
+                text = _CellText(matrix.exact, lambda value: _text_at(value.display, 6),
+                                 lambda key: _text_at(_key_doc(key), 6))
+            # The round's own text less its closing brace, which follows its matrix.
+            round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]
+            yield '%s%s%s,%s"matrix": ' % ("," if index else "", _INDENT[2], round_head,
+                                           _INDENT[3])
+            yield from _matrix_text(matrix, text)
+            yield _INDENT[2] + "}"
+        yield _INDENT[1] + "]"
+    yield tail

@@ -24,9 +24,10 @@ for n pattern rows, whatever the ties.
 
 No distance table between clusters is kept.  A round's proximity matrix is
 re-derived from the merge list by a replay that applies the merges, by the
-single-linkage row minimum, to a table of the leaf distances built on the
-first read.  Reading rounds in order costs O(active^2) each; going back to
-an earlier round restarts the replay.
+single-linkage row minimum, to a lower triangle of the leaf distances built
+on the first read, whose rows are the matrix's ``keys``.  Reading rounds in
+order costs O(active^2) each; going back to an earlier round restarts the
+replay.
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ class MergeRound:
     @property
     def matrix_after(self) -> ProximityMatrix:
         """The proximity matrix after this round's merges, rebuilt on every
-        access by the run's replay: its int ``keys`` in O(active^2) time when
-        rounds are read in order (an earlier round restarts the replay), its
-        ``cells`` dict only when read.  Hold on to the result to read it
-        twice.  ``dendrogram.to_structured`` reads ``keys`` alone."""
+        access by the run's replay: its int ``keys`` are a copy of the
+        replay's rows, made in O(active^2) time when rounds are read in
+        order (an earlier round restarts the replay), its ``cells`` dict
+        only when read.  Hold on to the result to read it twice.
+        ``dendrogram.to_structured`` and ``structured_chunks`` read ``keys``
+        alone."""
         return self._replay.matrix_after(self.round_index)
 
 
@@ -164,7 +167,8 @@ def _pair_ints(pattern: PatternMatrix, metric: Metric,
 
 
 def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
-    """The int distance between every two pattern rows, one list per row."""
+    """The int distance between every two pattern rows, as a lower
+    triangle: row p holds the distances to rows 0..p-1."""
     classes = _row_classes(pattern)
     count = len(classes)
     table = [[0] * count for _ in classes]
@@ -174,7 +178,7 @@ def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
             table[p][q] = table[q][p] = key
     index = {pattern.rows[ids[0]]: c for c, ids in enumerate(classes)}
     of = [index[row] for row in pattern.rows]
-    return [list(map(table[c].__getitem__, of)) for c in of]
+    return [list(map(table[c].__getitem__, of[:p])) for p, c in enumerate(of)]
 
 
 class _ExactKeys(dict):
@@ -204,11 +208,13 @@ class _ExactKeys(dict):
 class _Replay:
     """An agglomeration's merge list, ``clusters`` (tree nodes by id), and
     the proximity matrices re-derived from it.  On the first read the
-    merges are applied, by the single-linkage row minimum, to a table of
-    the active clusters' int distances: ``rows[x][y]`` for active x and y,
-    where a merged-away row is freed (None) and the entries at its id in
-    other rows are stale.  The table only moves forward; an earlier round
-    than the last one read starts again from the leaves."""
+    merges are applied, by the single-linkage row minimum, to a lower
+    triangle of the active clusters' int distances: ``rows[p][q]``, q < p,
+    is the distance between ``active[p]`` and ``active[q]``, so the table
+    is already the ``keys`` of a ``ProximityMatrix``.  ``applied`` counts
+    the clusters it holds or has merged away.  The table only moves
+    forward; an earlier round than the last one read starts again from the
+    leaves."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
         if pattern.n_rows < 2:
@@ -216,8 +222,9 @@ class _Replay:
         self.pattern, self.metric = pattern, metric
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
         self.exact = _ExactKeys(metric, pattern.n_cols)
-        self.rows: list[list[int] | None] = []
+        self.rows: list[list[int]] = []
         self.active: list[int] = []
+        self.applied = 0
 
     def record(self, group: tuple[int, ...], height: ExactDissimilarity,
                round_index: int) -> DendroNode:
@@ -229,36 +236,38 @@ class _Replay:
         clusters.append(new)
         return new
 
-    def _merge(self, group: tuple[int, ...]) -> None:
+    def _merge(self, node: DendroNode) -> None:
+        """Replace the rows and columns of ``node``'s children by one last
+        row, their minimum: ``node`` has the largest id yet."""
         rows, active = self.rows, self.active
-        row = rows[group[0]]
-        for g in group[1:]:
-            row = [a if a < b else b for a, b in zip(row, rows[g])]
-        row.append(0)
-        for g in group:
-            del active[bisect_left(active, g)]
-            rows[g] = None
-        for k in active:
-            rows[k].append(row[k])
-        active.append(len(rows))
+        at = [bisect_left(active, g) for g in node.children]
+        # Each child's distances to every position, 0 at its own.
+        row = list(map(min, *(rows[p] + [0] + [later[p] for later in rows[p + 1:]]
+                              for p in at)))
+        for p in reversed(at):
+            del row[p], rows[p], active[p]
+        for later in rows[at[0]:]:
+            for p in reversed(at):
+                if p < len(later):
+                    del later[p]
         rows.append(row)
+        active.append(node.id)
+        self.applied += 1
 
     def matrix_after(self, round_index: int) -> ProximityMatrix:
         """The proximity matrix over the clusters active after a round
         (round 0: the original rows)."""
         clusters = self.clusters
-        if not self.rows or (clusters[len(self.rows) - 1].round_index or 0) > round_index:
+        if not self.applied or (clusters[self.applied - 1].round_index or 0) > round_index:
             self.rows = _leaf_table(self.pattern, self.metric)
             self.active = list(range(self.pattern.n_rows))
-        for node in clusters[len(self.rows):]:
+            self.applied = self.pattern.n_rows
+        for node in clusters[self.applied:]:
             if node.round_index > round_index:
                 break
-            self._merge(node.children)
-        ids, rows = self.active, self.rows
-        return ProximityMatrix(tuple(map(clusters.__getitem__, ids)),
-                               [list(map(rows[b].__getitem__, ids[:pos]))
-                                for pos, b in enumerate(ids)],
-                               self.exact)
+            self._merge(node)
+        return ProximityMatrix(tuple(map(clusters.__getitem__, self.active)),
+                               list(map(list.copy, self.rows)), self.exact)
 
 
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
@@ -281,8 +290,9 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     distance, and a merge's neighbours are its parts'.  Memory is one int
     per pair of distinct rows plus one neighbour entry per pair at the
     current level, all freed on return: a replay of the merges rebuilds a
-    round's ``matrix_after`` when it is read, so reading every round's
-    matrix of a sequential run costs O(n^3).
+    round's ``matrix_after`` when it is read, from a lower triangle over
+    the active clusters alone, so reading every round's matrix of a
+    sequential run costs O(n^3) in time and O(n^2) in memory.
     """
     replay = _Replay(pattern, metric)
     clusters, n = replay.clusters, pattern.n_rows

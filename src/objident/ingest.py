@@ -261,15 +261,22 @@ def read_text(path: Path | str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
+# Bytes buffered before each write to a file: chunked text, such as a
+# trace's rows, then reaches the file in few large writes.
+_WRITE_BUFFER = 1 << 20
+
+
+def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]) -> None:
     """Write each (path, text) pair to a sibling temp file, then rename them
-    all.  Nothing is renamed until every write has succeeded, and a failure
-    removes every temp file and then every directory the call made, deepest
-    first, so a failed call leaves no output behind.  A target that exists
-    but is not a regular file is refused before anything is written: a
-    directory would fail only at its rename, and a FIFO, socket or device
-    would be replaced by it.  Each file gets the mode a plain
-    ``open(path, "w")`` would give it, 0o666 less the umask."""
+    all.  A text is a ``str`` or an iterable of ``str`` chunks, which is
+    consumed as it is written, so it need never be held whole.  Nothing is
+    renamed until every write has succeeded, and a failure, in a write or
+    in making a chunk, removes every temp file and then every directory the
+    call made, deepest first, so a failed call leaves no output behind.  A
+    target that exists but is not a regular file is refused before anything
+    is written: a directory would fail only at its rename, and a FIFO,
+    socket or device would be replaced by it.  Each file gets the mode a
+    plain ``open(path, "w")`` would give it, 0o666 less the umask."""
     umask = os.umask(0)
     os.umask(umask)
     outputs = [(Path(path), text) for path, text in outputs]
@@ -290,9 +297,12 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str]]) -> None:
                         made.append(folder)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
                 staged.append((tmp, path))
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                with os.fdopen(fd, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as handle:
                     os.fchmod(fd, 0o666 & ~umask)
-                    handle.write(text)
+                    if isinstance(text, str):
+                        handle.write(text)
+                    else:
+                        handle.writelines(text)
             for tmp, path in staged:
                 os.replace(tmp, path)
         except BaseException:
@@ -404,10 +414,14 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     """Run the pipeline, writing outputs and a stdout summary.
 
     Raises ObjidentError subclasses on any failure; output files are
-    written only after all computation has succeeded, and together: none
-    appears unless all of them could be written.  They are in place before
-    the summary is printed, so a failing ``out`` (an InputOutputError)
-    leaves them complete.
+    written only after the clustering, cut and report have succeeded, and
+    together: none appears unless all of them could be written.  The
+    structured document (``--trace``, ``--format structured``) is rendered
+    while it is written, by ``dendrogram.structured_chunks``, so its O(n^3)
+    matrix text is never one string; a run that asks for both renders it
+    twice, once into each file.  A failure while rendering still leaves no
+    output.  The files are in place before the summary is printed, so a
+    failing ``out`` (an InputOutputError) leaves them complete.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -434,23 +448,20 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         if config.report_path is not None:
             report = label_clusters(partition, pattern, schema)
 
-    structured = None
-    if config.trace_path is not None or (
-            config.dendrogram_path is not None
-            and config.dendrogram_format is DendrogramFormat.STRUCTURED):
-        structured = canonical_json(dendro.to_structured(
-            dend, trace, schema=schema, pattern=pattern, report=report))
+    def structured():
+        return dendro.structured_chunks(dend, trace, schema=schema, pattern=pattern,
+                                        report=report)
 
     outputs = []
     if config.trace_path is not None:
-        outputs.append((config.trace_path, structured))
+        outputs.append((config.trace_path, structured()))
     if config.dendrogram_path is not None:
         if config.dendrogram_format is DendrogramFormat.ASCII:
             outputs.append((config.dendrogram_path, dendro.render_ascii(dend)))
         elif config.dendrogram_format is DendrogramFormat.DOT:
             outputs.append((config.dendrogram_path, dendro.render_dot(dend)))
         else:
-            outputs.append((config.dendrogram_path, structured))
+            outputs.append((config.dendrogram_path, structured()))
     if config.report_path is not None:
         outputs.append((config.report_path, canonical_json(report.to_doc())))
     write_texts_atomic(outputs)

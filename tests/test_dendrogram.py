@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from objident import (
     MergePolicy,
@@ -20,11 +22,11 @@ from objident import (
     render_dot,
     to_structured,
 )
-from objident.dendrogram import DendroNode, Dendrogram
+from objident.dendrogram import DendroNode, Dendrogram, structured_chunks
 from objident.metrics import ExactDissimilarity
 
 from conftest import FIXTURE_DIR
-from test_engine import make_pattern
+from test_engine import make_pattern, uses_schema
 from test_golden import INPUT_DIR
 
 REF_GROUP = frozenset({"initRef", "isEmptyRef", "rPush", "rPop", "traRef"})
@@ -254,7 +256,8 @@ def test_structured_text_matches_per_cell_reference(path):
         for policy in MergePolicy:
             dend, trace = cluster(pattern, metric, policy=policy)
             report = label_clusters(cut_height(dend, "0.5"), pattern, schema)
-            doc = to_structured(dend, trace, schema=schema, pattern=pattern, report=report)
+            sections = dict(schema=schema, pattern=pattern, report=report)
+            doc = to_structured(dend, trace, **sections)
             reference = dict(doc, dendrogram=reference_tree(dend, dend.root), rounds=[
                 {"round": r.round_index, "min_display": r.min_key.display,
                  "min_key": key_doc(r.min_key.key),
@@ -263,8 +266,38 @@ def test_structured_text_matches_per_cell_reference(path):
                             for m in r.merges],
                  "matrix": reference_matrix(r.matrix_after)}
                 for r in trace])
-            assert canonical_json(doc) == json.dumps(
-                reference, indent=2, ensure_ascii=False) + "\n"
+            text = json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+            assert canonical_json(doc) == text
+            assert "".join(structured_chunks(dend, trace, **sections)) == text
+
+
+@st.composite
+def corpus_rows(draw):
+    """2 to 40 rows drawn from a few distinct ones, the all-zero row among
+    them when drawn: copies are common, and so are ties."""
+    width = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, 1)] * width)
+    pool = draw(st.lists(row | st.just((0,) * width), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_rows(), st.tuples(st.booleans(), st.booleans(), st.booleans()))
+@example([(0, 1), (0, 1)], (False, False, False))
+@example([(0,), (1,)], (True, True, True))
+def test_structured_chunks_join_to_the_documents_text(rows, include):
+    pattern = make_pattern(rows)
+    schema = uses_schema(len(rows[0]))
+    for metric in Metric:
+        for policy in MergePolicy:
+            dend, trace = cluster(pattern, metric, policy=policy)
+            report = label_clusters(cut_height(dend, "0.5"), pattern, schema)
+            sections = {name: value for name, value, wanted in zip(
+                ("schema", "pattern", "report"), (schema, pattern, report), include) if wanted}
+            text = "".join(structured_chunks(dend, trace, **sections))
+            assert text == canonical_json(to_structured(dend, trace, **sections))
+            # The last round leaves one cluster and an empty matrix.
+            assert text.count('"display_values": []') == 1
 
 
 def chain_dendrogram(n):
@@ -300,6 +333,8 @@ def test_deep_chain_renders_and_cuts():
 def test_deep_chain_serialises():
     # 1,500 merges nest the document about 3,000 containers deep, past the
     # default recursion limit; its text grows with the square of the depth.
-    text = canonical_json(to_structured(chain_dendrogram(1500), []))
+    d = chain_dendrogram(1500)
+    text = canonical_json(to_structured(d, []))
+    assert "".join(structured_chunks(d, [])) == text
     assert text.count('"label": ') == 2999
     assert text.count('"children": [') == 1499

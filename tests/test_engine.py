@@ -34,16 +34,20 @@ METRIC_NAMES = {
 }
 
 
-def make_pattern(rows, labels=None):
-    """Realize arbitrary binary rows: one uses-field column per subject."""
-    labels = labels or [f"f{i}" for i in range(len(rows))]
-    t = len(rows[0])
-    subjects = tuple(f"s{j}" for j in range(t))
-    schema = RelationSchema(subjects, tuple(
+def uses_schema(width):
+    """Subjects s0..s(width-1), and one uses-field column for each."""
+    subjects = tuple(f"s{j}" for j in range(width))
+    return RelationSchema(subjects, tuple(
         Relation(RelationKind.USES_FIELD, s, f"R{j}") for j, s in enumerate(subjects)))
+
+
+def make_pattern(rows, labels=None):
+    """Realize arbitrary binary rows over ``uses_schema``'s columns."""
+    labels = labels or [f"f{i}" for i in range(len(rows))]
+    schema = uses_schema(len(rows[0]))
     records = [
         ComponentRecord(label, None, (),
-                        frozenset(s for s, bit in zip(subjects, row) if bit))
+                        frozenset(s for s, bit in zip(schema.subject_types, row) if bit))
         for label, row in zip(labels, rows)
     ]
     pattern = build_pattern_matrix(records, schema)
@@ -52,9 +56,12 @@ def make_pattern(rows, labels=None):
 
 
 def pair_ints(pattern, metric):
-    """The replay's table before any merge: one list of ints per row, filled
-    from the engine's buckets of distinct-row pairs."""
-    return engine._leaf_table(pattern, metric)
+    """The int of every two rows, one full list per row: the replay's lower
+    triangle before any merge, filled from the engine's buckets of
+    distinct-row pairs, mirrored, with 0 on the diagonal."""
+    low = engine._leaf_table(pattern, metric)
+    return [[low[p][q] if q < p else low[q][p] if q > p else 0 for q in range(len(low))]
+            for p in range(len(low))]
 
 
 def by_label(prox, a, b):
@@ -215,7 +222,8 @@ def oracle_rounds(rows, metric_name, policy):
 
 
 def assert_matches_oracle(rows, metric):
-    """Both policies' merges and every round's snapshot equal the oracle's."""
+    """Both policies' merges and every round's snapshot equal the oracle's,
+    with the snapshots read in order and then shuffled."""
     name = METRIC_NAMES[metric]
     pattern = make_pattern(rows)
     for policy in MergePolicy:
@@ -227,14 +235,19 @@ def assert_matches_oracle(rows, metric):
             for r in trace
         ] == expected
         members = {i: frozenset((i,)) for i in range(len(rows))}
-        for merge_round, (_, merges) in zip(trace, expected):
+        snapshots = []
+        for _, merges in expected:
             for group, new in merges:
                 members[new] = frozenset().union(*(members.pop(i) for i in group))
-            prox = merge_round.matrix_after
-            assert [c.id for c in prox.active] == sorted(members)
-            for (a, b), cell in prox.cells.items():
-                assert cell.key == oracle.group_key(
-                    name, rows, members[a], members[b])
+            ids = sorted(members)
+            snapshots.append((ids, {(a, b): oracle.group_key(name, rows, members[a], members[b])
+                                    for x, a in enumerate(ids) for b in ids[x + 1:]}))
+        order = list(range(len(trace)))
+        for reading in (order, random.Random(str(rows)).sample(order, len(order))):
+            for index in reading:
+                prox = trace[index].matrix_after
+                assert ([c.id for c in prox.active],
+                        {pair: cell.key for pair, cell in prox.cells.items()}) == snapshots[index]
 
 
 def test_tie_order_and_snapshots_match_oracle_both_policies():
@@ -244,6 +257,14 @@ def test_tie_order_and_snapshots_match_oracle_both_policies():
     metrics = list(Metric)
     for case in range(320):
         rows = random_rows(rng, n=rng.randint(2, 9), t=rng.randint(1, 4))
+        assert_matches_oracle(rows, metrics[case % len(metrics)])
+    # Classes of three or more spread-out copies: under the paper policy each
+    # merges whole, so the replay drops several rows and columns at once.
+    for case in range(80):
+        distinct = random_rows(rng, n=rng.randint(1, 4), t=rng.randint(2, 5))
+        rows = (distinct + [distinct[0]] * rng.randint(2, 4)
+                + rng.choices(distinct, k=rng.randint(0, 5)))
+        rng.shuffle(rows)
         assert_matches_oracle(rows, metrics[case % len(metrics)])
 
 
@@ -415,11 +436,10 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
         count, buckets = len(classes), engine._pair_ints(pattern, metric, classes)
         assert sorted(pq for pairs in buckets.values() for pq in pairs) == [
             p * count + q for p, q in itertools.combinations(range(count), 2)]
-        ints = pair_ints(pattern, metric)
-        assert ints == [[per_pair_int(metric, a, b) for b in rows] for a in rows]
-        for i, j in itertools.combinations(range(len(rows)), 2):
-            if rows[i] == rows[j]:
-                before = list(ints[j])
-                ints[i][j] = -1
-                ints[i].append(-1)
-                assert ints[j] == before
+        assert pair_ints(pattern, metric) == [[per_pair_int(metric, a, b) for b in rows]
+                                              for a in rows]
+        # Copies of a row share its class's distances but never a list: the
+        # replay deletes from its rows in place.
+        table = engine._leaf_table(pattern, metric)
+        assert [len(row) for row in table] == list(range(len(rows)))
+        assert len(set(map(id, table))) == len(rows)

@@ -27,6 +27,7 @@ from objident.ingest import (
     RunConfig,
     execute,
     read_text,
+    write_texts_atomic,
 )
 
 from conftest import FIXTURE_DIR
@@ -218,6 +219,29 @@ def test_write_text_atomic_mode_follows_umask(tmp_path, umask):
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_write_texts_atomic_writes_chunks_as_they_come(tmp_path):
+    target = tmp_path / "out.txt"
+    write_texts_atomic([(target, iter(["one", "", "two\n"]))])
+    assert target.read_text() == "one" + "two\n"
+
+
+def test_failed_chunks_leave_no_output_temp_file_or_directory(tmp_path):
+    # The first chunk is already in a temp file, inside directories the
+    # call made, when the next one fails.
+    class ChunkFailed(Exception):
+        pass
+
+    def chunks():
+        yield "first"
+        raise ChunkFailed
+
+    whole = tmp_path / "whole.txt"
+    with pytest.raises(ChunkFailed):
+        write_texts_atomic([(whole, "whole"),
+                            (tmp_path / "sub" / "deeper" / "out.txt", chunks())])
+    assert list(tmp_path.iterdir()) == []
 
 
 def stacks_config(tmp_path, **kwargs):
