@@ -9,11 +9,10 @@ pure functions of the tree; child ordering in every rendering is canonical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .metrics import ExactDissimilarity
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
     from .report import CandidateObjectReport
 
 
-@dataclass(frozen=True)
-class DendroNode:
+class DendroNode(NamedTuple):
     """One tree node; leaves have no children and no height."""
 
     id: int
@@ -39,14 +37,11 @@ class DendroNode:
         return not self.children
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(NamedTuple("Dendrogram", [
+        ("nodes", Mapping[int, DendroNode]), ("root", int), ("n_leaves", int)])):
     """The full merge tree over ``n_leaves`` original components."""
 
-    nodes: Mapping[int, DendroNode]
-    root: int
-    n_leaves: int
-
+    # A subclass of the tuple has the __dict__ that cached_property needs.
     @cached_property
     def _min_leaf(self) -> dict[int, int]:
         # Children ids precede parent ids, so one ascending pass suffices.
@@ -78,8 +73,7 @@ class Dendrogram:
         return tuple(sorted(self.nodes[node_id].children, key=self._min_leaf.__getitem__))
 
 
-@dataclass(frozen=True)
-class PartitionGroup:
+class PartitionGroup(NamedTuple):
     """One group of a flat partition: the subtree label plus its leaves."""
 
     label: str

@@ -36,7 +36,6 @@ import enum
 from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heapreplace
 from itertools import chain
@@ -62,27 +61,28 @@ def policy_from_name(name: str) -> MergePolicy:
         raise ConfigError(f"unknown policy {name!r} (expected one of: {valid})") from None
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
+class ProximityMatrix(NamedTuple("ProximityMatrix", [
+        ("active", tuple[DendroNode, ...]), ("keys", list[list[int]])])):
     """Symmetric dissimilarity matrix over the clusters active at one point.
 
     ``active`` is ascending by id; ``keys[p][q]``, q < p, is the engine's int
     distance between ``active[p]`` and ``active[q]``, and ``exact`` maps each
-    int to its ``ExactDissimilarity``, one value shared by all cells at it.
+    int to its ``ExactDissimilarity``, one value shared by all cells at it;
+    it is not a field, so equality and repr leave it out.
     ``cells`` maps (i, j) ids, i < j, to the dissimilarity; it is built on
     first read.  These three are the readers: ``cells[i, j]`` for one pair,
     ``cells.items()`` for all of them.  The diagonal is implicitly zero and
     never stored, so no (i, i) key exists.
     """
 
-    active: tuple[DendroNode, ...]
-    keys: list[list[int]]
-    exact: Mapping[int, ExactDissimilarity] = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        ids = [c.id for c in self.active]
+    def __new__(cls, active: tuple[DendroNode, ...], keys: list[list[int]],
+                exact: Mapping[int, ExactDissimilarity]):
+        ids = [c.id for c in active]
         if ids != sorted(ids):
             raise ValidationError("active clusters must be ascending by id")
+        self = super().__new__(cls, active, keys)
+        self.exact = exact
+        return self
 
     @cached_property
     def cells(self) -> dict[tuple[int, int], ExactDissimilarity]:
@@ -98,15 +98,17 @@ class Merge(NamedTuple):
     constituents: tuple[DendroNode, ...]
 
 
-@dataclass(frozen=True)
-class MergeRound:
+class MergeRound(NamedTuple("MergeRound", [
+        ("round_index", int), ("min_key", ExactDissimilarity), ("merges", tuple[Merge, ...])])):
     """One round of the engine: what merged, at what minimum, and (through
-    ``matrix_after``) the proximity matrix left after all of its merges."""
+    ``matrix_after``) the proximity matrix left after all of its merges.
+    The run's replay is not a field: equality and repr leave it out."""
 
-    round_index: int
-    min_key: ExactDissimilarity
-    merges: tuple[Merge, ...]
-    _replay: "_Replay" = field(repr=False, compare=False)
+    def __new__(cls, round_index: int, min_key: ExactDissimilarity,
+                merges: tuple[Merge, ...], replay: _Replay):
+        self = super().__new__(cls, round_index, min_key, merges)
+        self._replay = replay
+        return self
 
     @property
     def matrix_after(self) -> ProximityMatrix:

@@ -14,8 +14,7 @@ zeros and each of the component's facts sets its columns, looked up by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -26,8 +25,9 @@ class RelationKind(enum.Enum):
     USES_FIELD = "uses_field"
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple("ComponentRecord", [
+        ("name", str), ("returns", str | None),
+        ("args", tuple[str, ...]), ("uses_fields", frozenset[str])])):
     """One software component: a function described by its declaration.
 
     ``returns`` keeps the declared type name ("int" included) or None for
@@ -36,22 +36,21 @@ class ComponentRecord:
     something derivable from the prototype.
     """
 
-    name: str
-    returns: str | None = None
-    args: tuple[str, ...] = ()
-    uses_fields: frozenset[str] = field(default_factory=frozenset)
+    # A NamedTuple's own class body may not define __new__, so the checks
+    # and coercions sit in this subclass.
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str, returns: str | None = None, args: Iterable[str] = (),
+                uses_fields: Iterable[str] = frozenset()):
+        if not name:
             raise ValidationError("component name must be non-empty")
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "uses_fields", frozenset(self.uses_fields))
-        if self.returns == "" or "" in self.args or "" in self.uses_fields:
-            raise ValidationError(f"component {self.name!r} names an empty type")
+        self = super().__new__(cls, name, returns, tuple(args), frozenset(uses_fields))
+        if returns == "" or "" in self.args or "" in self.uses_fields:
+            raise ValidationError(f"component {name!r} names an empty type")
+        return self
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One binary predicate: kind applied to a subject type."""
 
     kind: RelationKind
@@ -59,8 +58,7 @@ class Relation:
     label: str
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(NamedTuple):
     """Ordered relation columns derived from an ordered subject-type list.
 
     Column order is fixed kind-major: all RETURNS columns first (in subject
@@ -96,8 +94,7 @@ def derive_relations(subject_types: Sequence[str]) -> RelationSchema:
     return RelationSchema(subjects, tuple(relations))
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(NamedTuple):
     """Binary matrix: rows are components, columns are relations."""
 
     row_labels: tuple[str, ...]

@@ -16,10 +16,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dendrogram as dendro
 from .declarations import parse_declarations
@@ -360,10 +359,7 @@ def parse_cut_spec(text: str) -> tuple[str, int | Fraction]:
     return "h", height
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one pipeline invocation needs."""
-
+class _RunFields(NamedTuple):
     input_path: Path
     input_kind: InputKind
     metric: Metric = Metric.EUCLIDEAN
@@ -374,7 +370,14 @@ class RunConfig:
     dendrogram_format: DendrogramFormat = DendrogramFormat.ASCII
     report_path: Path | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """Everything one pipeline invocation needs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.report_path is not None and self.cut is None:
             raise ConfigError("--report requires --cut (a report labels a flat partition)")
         flags = {os.path.realpath(self.input_path): "--input"}
@@ -384,6 +387,7 @@ class RunConfig:
                 other = flags.setdefault(os.path.realpath(path), flag)
                 if other != flag:
                     raise ConfigError(f"{other} and {flag} name the same file {str(path)!r}")
+        return self
 
 
 def _summary_lines(config: RunConfig, pattern, trace, partition, report) -> list[str]:

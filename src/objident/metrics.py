@@ -13,9 +13,9 @@ from __future__ import annotations
 import decimal
 import enum
 import functools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, ValidationError
 
@@ -38,8 +38,11 @@ def metric_from_name(name: str) -> Metric:
         raise ConfigError(f"unknown metric {name!r} (expected one of: {valid})") from None
 
 
+@functools.lru_cache(maxsize=4096)
 def two_decimals(value: Fraction, *, sqrt: bool = False) -> str:
-    """``value``, or its square root, rounded half-up to two decimals, e.g. '1.41'."""
+    """``value``, or its square root, rounded half-up to two decimals, e.g. '1.41'.
+
+    A run shows few distinct values many times, so each is rounded once."""
     with decimal.localcontext() as ctx:
         ctx.prec = 30
         dec = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
@@ -48,27 +51,34 @@ def two_decimals(value: Fraction, *, sqrt: bool = False) -> str:
         return str(dec.quantize(decimal.Decimal("0.01"), rounding=decimal.ROUND_HALF_UP))
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class ExactDissimilarity:
-    """A comparison key plus the metric it was computed under.
-
-    key is >= 0 and is 0 exactly when the metric treats the rows as
-    identical.  Ordering is exact rational comparison and is only defined
-    between values of the same metric.  A magnitude has two readers: ``key``
-    (exact; the squared distance under Euclidean) and ``display`` (rounded).
-    """
-
-    key: Fraction
-    metric: Metric
-
-    def __lt__(self, other: "ExactDissimilarity") -> bool:
+def _same_metric_order(compare):
+    """An ordering of ``ExactDissimilarity`` values by ``compare`` of their keys."""
+    def method(self, other):
         if not isinstance(other, ExactDissimilarity):
             return NotImplemented
         if other.metric is not self.metric:
             raise ValueError(
                 f"cannot order {self.metric.value} against {other.metric.value}")
-        return self.key < other.key
+        return compare(self.key, other.key)
+    return method
+
+
+class ExactDissimilarity(NamedTuple):
+    """A comparison key plus the metric it was computed under.
+
+    key is >= 0 and is 0 exactly when the metric treats the rows as
+    identical.  Ordering is exact rational comparison and is only defined
+    between values of the same metric: all four comparisons replace the
+    tuple's, which would order by (key, metric).  A magnitude has two
+    readers: ``key`` (exact; the squared distance under Euclidean) and
+    ``display`` (rounded).
+    """
+
+    key: Fraction
+    metric: Metric
+
+    __lt__, __le__, __gt__, __ge__ = map(
+        _same_metric_order, (operator.lt, operator.le, operator.gt, operator.ge))
 
     @property
     def display(self) -> str:

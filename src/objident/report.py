@@ -10,9 +10,8 @@ set bits that fall in the dominant subject's columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dendrogram import PartitionGroup
 from .errors import ValidationError
@@ -20,8 +19,7 @@ from .features import PatternMatrix, RelationSchema
 from .metrics import two_decimals
 
 
-@dataclass(frozen=True)
-class ClusterAttribution:
+class ClusterAttribution(NamedTuple):
     """Report entry for one cluster of the partition."""
 
     cluster_label: str
@@ -35,8 +33,7 @@ class ClusterAttribution:
         return self.dominant_subject is None
 
 
-@dataclass(frozen=True)
-class CandidateObjectReport:
+class CandidateObjectReport(NamedTuple):
     entries: tuple[ClusterAttribution, ...]
 
     def to_doc(self) -> dict:

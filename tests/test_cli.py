@@ -264,3 +264,11 @@ def test_closed_stdout_is_io_error_after_complete_outputs(tmp_path, capsys):
     assert main(cluster_args(tmp_path / "parent")) == 0
     assert ((tmp_path / "child" / "trace.json").read_bytes()
             == (tmp_path / "parent" / "trace.json").read_bytes())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    root = Path(__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, str(root / "tests" / "check_imports.py")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert (child.returncode, child.stderr) == (0, "")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -128,10 +129,14 @@ def test_euclidean_value_matches_float_oracle_exhaustively():
 def test_ordering_is_exact_and_same_metric_only():
     small = distance(Metric.SIMPLE_MATCHING, (1, 0, 0), (0, 0, 0))   # 1/3
     large = distance(Metric.SIMPLE_MATCHING, (1, 0), (0, 1))         # 1/1... 2/2 = 1
-    assert small < large
-    assert not large < small
-    with pytest.raises(ValueError):
-        _ = small < distance(Metric.EUCLIDEAN, (0,), (1,))
+    assert small < large and small <= large and small <= small
+    assert large > small and large >= small and large >= large
+    assert not large < small and not small > large and not small < small
+    assert not large <= small and not small >= large and not small > small
+    other = distance(Metric.EUCLIDEAN, (0,), (1,))
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError, match="cannot order smc against euclidean"):
+            compare(small, other)
 
 
 def test_metric_from_name():
