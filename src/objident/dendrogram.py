@@ -257,10 +257,9 @@ _INDENT = ["\n" + "  " * depth for depth in range(7)]
 
 def _text_at(doc, depth: int) -> str:
     """``canonical_json(doc)`` without its final line break, indented to
-    stand at ``depth``: json escapes every line break inside a string, so
-    each one left starts a line."""
-    from .ingest import canonical_json  # ingest imports this module
-    return canonical_json(doc)[:-1].replace("\n", _INDENT[depth])
+    stand at ``depth``."""
+    from .ingest import json_chunks  # ingest imports this module
+    return "".join(json_chunks(doc, depth))
 
 
 def _matrix_text(matrix: "ProximityMatrix", text: _CellText) -> Iterator[str]:
@@ -293,12 +292,14 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
 
     This is the document's dict view and the reference for its text:
     ``canonical_json`` of it is exactly the text that ``structured_chunks``
-    yields, which is what the command line writes.  The snapshots of a
-    sequential run hold O(n^3) cells, each one a lookup: they are read from
-    each round's ``matrix_after.keys``, the engine's int distances, without
-    building its ``cells``; every distinct distance gets one display string
-    and one ``{num, den}`` dict, so all cells at the same distance share one
-    dict object.  The nested ``dendrogram`` is built without recursion, for
+    yields, which is what the command line writes, but it renders every
+    cell's ``{num, den}`` on its own, so ``structured_chunks`` is the fast
+    way to that text.  The snapshots of a sequential run hold O(n^3) cells,
+    each one a lookup: they are read from each round's
+    ``matrix_after.keys``, the engine's int distances, without building its
+    ``cells``; every distinct distance gets one display string and one
+    ``{num, den}`` dict, so all cells at the same distance share one dict
+    object.  The nested ``dendrogram`` is built without recursion, for
     trees of any depth.
     """
     doc: dict = {}
@@ -329,42 +330,45 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     return doc
 
 
+def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
+    """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells."""
+    text = None
+    for index, r in enumerate(trace):
+        matrix = r.matrix_after
+        if text is None:
+            text = _CellText(matrix.exact, lambda value: _text_at(value.display, 6),
+                             lambda key: _text_at(_key_doc(key), 6))
+        # The round's own text less its closing brace, which follows its matrix.
+        round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]
+        yield '%s%s%s,%s"matrix": ' % ("," if index else "[", _INDENT[2], round_head,
+                                       _INDENT[3])
+        yield from _matrix_text(matrix, text)
+        yield _INDENT[2] + "}"
+    yield _INDENT[1] + "]"
+
+
 def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
                       schema=None, pattern: "PatternMatrix | None" = None,
                       report: "CandidateObjectReport | None" = None) -> Iterator[str]:
     """The text of ``canonical_json(to_structured(...))``, in chunks.
 
-    The text around ``rounds`` is ``canonical_json`` of ``to_structured``
-    with no rounds, and each round's merges come from the same dict as
-    there.  The matrix cells are never built as documents: each row of
-    ``display_values`` and of ``exact_keys`` is one join of the texts of its
-    ints, made once per distinct int, and is one chunk.  So a sequential
-    run's O(n^3) snapshots are rendered a row at a time, as the replay gives
-    each round's ``keys``, and are never held whole; a consumer that writes
-    the chunks as they come holds one round's matrix at a time.
+    Every section but ``rounds`` is ``json_chunks`` of its value in
+    ``to_structured`` with no rounds, so no section is ever one string:
+    the nested ``dendrogram`` is rendered a node at a time.  Each round's
+    merges come from the same dict as there.  The matrix cells are never
+    built as documents: each row of ``display_values`` and of
+    ``exact_keys`` is one join of the texts of its ints, made once per
+    distinct int, and is one chunk.  So a sequential run's O(n^3)
+    snapshots are rendered a row at a time, as the replay gives each
+    round's ``keys``, and are never held whole; a consumer that writes the
+    chunks as they come holds one round's matrix at a time.
     """
-    from .ingest import canonical_json  # ingest imports this module
+    from .ingest import json_chunks  # ingest imports this module
 
-    # json escapes every line break inside a string, so this one can only
-    # be the break before the top-level key.
-    no_rounds = _INDENT[1] + '"rounds": []'
-    head, _, tail = canonical_json(to_structured(
-        d, (), schema=schema, pattern=pattern, report=report)).partition(no_rounds)
-    if not trace:
-        yield head + no_rounds
-    else:
-        yield head + no_rounds[:-1]
-        text = None
-        for index, r in enumerate(trace):
-            matrix = r.matrix_after
-            if text is None:
-                text = _CellText(matrix.exact, lambda value: _text_at(value.display, 6),
-                                 lambda key: _text_at(_key_doc(key), 6))
-            # The round's own text less its closing brace, which follows its matrix.
-            round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]
-            yield '%s%s%s,%s"matrix": ' % ("," if index else "", _INDENT[2], round_head,
-                                           _INDENT[3])
-            yield from _matrix_text(matrix, text)
-            yield _INDENT[2] + "}"
-        yield _INDENT[1] + "]"
-    yield tail
+    head = "{"
+    for key, value in to_structured(d, (), schema=schema, pattern=pattern,
+                                    report=report).items():
+        yield '%s%s"%s": ' % (head, _INDENT[1], key)
+        head = ","
+        yield from _rounds_text(trace) if key == "rounds" and trace else json_chunks(value, 1)
+    yield "\n}\n"

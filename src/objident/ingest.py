@@ -1,8 +1,9 @@
 """On-disk formats and the end-to-end pipeline driver.
 
 Defines the components document (JSON with ``subject_types`` and
-``components`` keys), the canonical JSON writer used for every structured
-output, and ``execute``, which drives parse -> relation schema -> pattern
+``components`` keys), the one JSON writer used for every structured output
+(``json_chunks``, which yields the text in chunks, and ``canonical_json``,
+their join), and ``execute``, which drives parse -> relation schema -> pattern
 matrix -> clustering -> optional cut and report, writing all requested
 outputs atomically (every output to a temp file first, then all renamed).
 """
@@ -18,7 +19,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import dendrogram as dendro
 from .declarations import parse_declarations
@@ -37,111 +38,70 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": ")).encode
 _CONTAINERS = (dict, list, tuple)
 
 
-def canonical_json(doc) -> str:
-    """The one JSON form used for every document this package writes:
-    exactly ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``.
+def json_chunks(doc, depth: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2, ensure_ascii=False)`` in
+    chunks, with every line after the first indented by ``2 * depth`` more
+    spaces, so that it stands as a value at ``depth``.
 
     Written with an explicit stack, so nesting depth is not limited by the
-    interpreter's recursion limit.  The text of each scalar, key and
-    container of scalars comes from json's encoder.  A dict of scalars is
-    rendered once per object and depth and its text reused, and a list of
-    such dicts is joined in one step; ``to_structured`` shares one
-    ``{num, den}`` dict between all cells at one distance, so each distinct
-    key is rendered once per depth.  The document must not change during
-    the call.
+    interpreter's recursion limit, and a container is rendered an item at a
+    time, so its text is never held whole.  Each scalar, key, empty
+    container and container that holds no non-empty container is one text
+    from json's encoder.  The document must not change during the call.
     """
-    # Per depth: the line break before an item, and id(dict) -> text of each
-    # dict of scalars rendered there.
-    newlines = ["\n"]
-    flat_dicts: list[dict[int, str]] = [{}]
-
-    def newline(depth: int) -> str:
-        while len(newlines) <= depth:
-            newlines.append(newlines[-1] + "  ")
-            flat_dicts.append({})
-        return newlines[depth]
-
-    def indented(text: str, depth: int) -> str:
-        """The encoder's text of a non-empty container, indented at ``depth``."""
-        inner = newline(depth + 1)
-        return text[0] + inner + text[1:-1].replace("\n", inner) + newlines[depth] + text[-1]
-
-    def flat_item(value, depth: int) -> str | None:
-        """Text at ``depth`` of a scalar, an empty container or a dict of
-        scalars; None for anything else."""
-        if not isinstance(value, _CONTAINERS) or not value:
-            return _encode(value)
-        if not isinstance(value, dict):
-            return None
-        text = flat_dicts[depth].get(id(value))
-        if text is None:
-            if any(isinstance(item, _CONTAINERS) for item in value.values()):
-                return None
-            text = flat_dicts[depth][id(value)] = indented(_encode(value), depth)
-        return text
-
-    def flat(value, depth: int) -> str | None:
-        """Text at ``depth`` of a value that needs no frame: what
-        ``flat_item`` takes, or a list of scalars or of those; None for any
-        other value."""
-        if not isinstance(value, (list, tuple)) or not value:
-            return flat_item(value, depth)
-        inner = newline(depth + 1)
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            parts = map(_encode_str, value)
-        else:
-            parts = list(map(flat_dicts[depth + 1].get, map(id, value)))
-            if None in parts:
-                if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
-                    return indented(_encode(value), depth)
-                parts = [flat_item(item, depth + 1) if text is None else text
-                         for text, item in zip(parts, value)]
-                if None in parts:
-                    return None
-        return "[" + inner + ("," + inner).join(parts) + newlines[depth] + "]"
-
-    out: list[str] = []
     open_ids: set[int] = set()
-    # Frames: [items iterator, is a dict, depth of its items, the container,
-    # the text before its next item].
+    # Frames: [items iterator, is a dict, the container, whether an item has
+    # been written]; the items of the frame at stack[k] stand at level k + 1.
+    # Each indent is made where it is written, not kept per level: the
+    # indents of all levels grow with the square of the depth.
     stack: list[list] = []
 
-    def write(value, depth: int) -> None:
-        text = flat(value, depth)
-        if text is not None:
-            out.append(text)
-            return
+    def start(value, level: int) -> str:
+        """The text of ``value`` at ``level`` if json's encoder gives it in
+        one step; else its opening bracket, with a frame pushed for its items."""
+        if not isinstance(value, _CONTAINERS) or not value:
+            return _encode(value)
+        is_dict = isinstance(value, dict)
+        items = value.values() if is_dict else value
+        if not any(isinstance(item, _CONTAINERS) and item for item in items):
+            text, inner = _encode(value), "\n" + "  " * (depth + level + 1)
+            return text[0] + inner + text[1:-1].replace("\n", inner) + inner[:-2] + text[-1]
         if id(value) in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(id(value))
-        is_dict = isinstance(value, dict)
-        out.append("{" if is_dict else "[")
-        stack.append([iter(value.items() if is_dict else value), is_dict,
-                      depth + 1, value, newline(depth + 1)])
+        stack.append([iter(value.items() if is_dict else value), is_dict, value, False])
+        return "{" if is_dict else "["
 
-    write(doc, 0)
+    yield start(doc, 0)
     while stack:
         frame = stack[-1]
-        items, is_dict, depth = frame[0], frame[1], frame[2]
-        separator = "," + newlines[depth]
+        items, is_dict, level = frame[0], frame[1], len(stack)
+        newline = "\n" + "  " * (depth + level)
+        separator = "," + newline
+        head = separator if frame[3] else newline
+        frame[3] = True
         for item in items:
-            out.append(frame[4])
-            frame[4] = separator
             if is_dict:
                 key, item = item
                 # Any other key: json's text of {key: 0} less "{" and ": 0}".
-                out.append((_encode_str(key) if isinstance(key, str)
-                            else _encode({key: 0})[1:-4]) + ": ")
-            write(item, depth)
+                head += (_encode_str(key) if isinstance(key, str)
+                         else _encode({key: 0})[1:-4]) + ": "
+            yield head + start(item, level)
+            head = separator
             if stack[-1] is not frame:
                 break
         else:
             stack.pop()
-            open_ids.discard(id(frame[3]))
-            out.append(newlines[depth - 1] + ("}" if is_dict else "]"))
-    out.append("\n")
-    return "".join(out)
+            open_ids.discard(id(frame[2]))
+            yield newline[:-2] + ("}" if is_dict else "]")
+
+
+def canonical_json(doc) -> str:
+    """The one JSON form used for every document this package writes:
+    exactly ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, the
+    joined ``json_chunks(doc)`` and a line break.  Nesting depth is not
+    limited by the interpreter's recursion limit."""
+    return "".join(json_chunks(doc)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +381,9 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     written only after the clustering, cut and report have succeeded, and
     together: none appears unless all of them could be written.  The
     structured document (``--trace``, ``--format structured``) is rendered
-    while it is written, by ``dendrogram.structured_chunks``, so its O(n^3)
-    matrix text is never one string; a run that asks for both renders it
+    while it is written, by ``dendrogram.structured_chunks``, so no part of
+    it, neither the O(n^3) matrices nor a deep tree's nested
+    ``dendrogram``, is ever one string; a run that asks for both renders it
     twice, once into each file.  A failure while rendering still leaves no
     output.  The files are in place before the summary is printed, so a
     failing ``out`` (an InputOutputError) leaves them complete.

@@ -332,9 +332,12 @@ def test_deep_chain_renders_and_cuts():
 
 def test_deep_chain_serialises():
     # 1,500 merges nest the document about 3,000 containers deep, past the
-    # default recursion limit; its text grows with the square of the depth.
+    # default recursion limit; its text grows with the square of the depth,
+    # so it is written a node at a time, in short chunks.
     d = chain_dendrogram(1500)
     text = canonical_json(to_structured(d, []))
-    assert "".join(structured_chunks(d, [])) == text
+    chunks = list(structured_chunks(d, []))
+    assert "".join(chunks) == text
+    assert max(map(len, chunks)) < 64 * 1024
     assert text.count('"label": ') == 2999
     assert text.count('"children": [') == 1499

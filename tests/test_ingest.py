@@ -26,6 +26,7 @@ from objident.ingest import (
     InputKind,
     RunConfig,
     execute,
+    json_chunks,
     read_text,
     write_texts_atomic,
 )
@@ -113,13 +114,15 @@ json_values = st.recursive(
     max_leaves=40)
 
 
-@given(json_values, st.dictionaries(json_keys, json_scalars))
-def test_canonical_json_matches_json_dumps(value, shared):
-    # ``shared`` is one dict object at several depths and twice in one list,
-    # the case whose rendered text the writer reuses.
+@given(json_values, st.dictionaries(json_keys, json_scalars), st.integers(0, 6))
+def test_canonical_json_matches_json_dumps(value, shared, depth):
+    # ``shared`` is one dict object at several depths and twice in one list:
+    # an object met again that does not contain itself is no cycle.
     for doc in (value, {"value": value, "shared": shared,
                         "deeper": [[shared, value, shared], [shared, shared]]}):
-        assert canonical_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        text = json.dumps(doc, indent=2, ensure_ascii=False)
+        assert canonical_json(doc) == text + "\n"
+        assert "".join(json_chunks(doc, depth)) == text.replace("\n", "\n" + "  " * depth)
 
 
 def test_canonical_json_rejects_cycles():
