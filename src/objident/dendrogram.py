@@ -262,20 +262,21 @@ def _text_at(doc, depth: int) -> str:
     return "".join(json_chunks(doc, depth))
 
 
-def _matrix_text(matrix: "ProximityMatrix", text: _CellText) -> Iterator[str]:
+def _matrix_text(matrix: "ProximityMatrix", display_rows: list[list[str]],
+                 key_rows: list[list[str]]) -> Iterator[str]:
     """``_matrix_doc``'s text as the value of a round's ``matrix``, a chunk
-    per row of cells; ``text`` has each cell's text at its depth, 6."""
+    per row of cells.  ``display_rows`` and ``key_rows`` hold, for each
+    active cluster, the texts of its row of cells at their depth, 6."""
     yield '{%s"labels": %s,%s"display_values": ' % (
         _INDENT[4], _text_at([c.label for c in matrix.active], 4), _INDENT[4])
-    # Display texts first: looking them up makes any missing key text.
-    for cells, after in ((text, ',%s"exact_keys": ' % _INDENT[4]),
-                         (text.exact_keys, _INDENT[3] + "}")):
-        if len(matrix.keys) < 2:
+    for rows, after in ((display_rows, ',%s"exact_keys": ' % _INDENT[4]),
+                        (key_rows, _INDENT[3] + "}")):
+        if len(rows) < 2:
             yield "[]" + after
             continue
         sep, opener = "," + _INDENT[6], "[" + _INDENT[5] + "[" + _INDENT[6]
-        for keys in matrix.keys[1:]:
-            yield opener + sep.join(map(cells.__getitem__, keys))
+        for row in rows[1:]:
+            yield opener + sep.join(row)
             opener = _INDENT[5] + "]," + _INDENT[5] + "[" + _INDENT[6]
         yield _INDENT[5] + "]" + _INDENT[4] + "]" + after
 
@@ -331,18 +332,43 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
 
 
 def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
-    """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells."""
+    """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells.
+
+    The rows of cell texts follow the merges: after a round, the clusters
+    that survive it keep their order and every new cluster has a larger id
+    than any of them, so a gone cluster's row and column are deleted and a
+    new cluster's row is appended, its cells looked up once.  A round that
+    does not follow the one before, such as an earlier one, starts the rows
+    again from its ``keys``."""
     text = None
+    ids: list[int] = []
+    display_rows: list[list[str]] = []
+    key_rows: list[list[str]] = []
     for index, r in enumerate(trace):
         matrix = r.matrix_after
         if text is None:
             text = _CellText(matrix.exact, lambda value: _text_at(value.display, 6),
                              lambda key: _text_at(_key_doc(key), 6))
+        now = [c.id for c in matrix.active]
+        active = set(now)
+        for p in reversed([p for p, i in enumerate(ids) if i not in active]):
+            del ids[p]
+            for rows in (display_rows, key_rows):
+                del rows[p]
+                for later in rows[p:]:
+                    del later[p]
+        if ids != now[:len(ids)]:
+            ids, display_rows, key_rows = [], [], []
+        for keys in matrix.keys[len(ids):]:
+            # Display texts first: looking them up makes any missing key text.
+            display_rows.append(list(map(text.__getitem__, keys)))
+            key_rows.append(list(map(text.exact_keys.__getitem__, keys)))
+        ids = now
         # The round's own text less its closing brace, which follows its matrix.
         round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]
         yield '%s%s%s,%s"matrix": ' % ("," if index else "[", _INDENT[2], round_head,
                                        _INDENT[3])
-        yield from _matrix_text(matrix, text)
+        yield from _matrix_text(matrix, display_rows, key_rows)
         yield _INDENT[2] + "}"
     yield _INDENT[1] + "]"
 
@@ -357,11 +383,13 @@ def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
     the nested ``dendrogram`` is rendered a node at a time.  Each round's
     merges come from the same dict as there.  The matrix cells are never
     built as documents: each row of ``display_values`` and of
-    ``exact_keys`` is one join of the texts of its ints, made once per
-    distinct int, and is one chunk.  So a sequential run's O(n^3)
-    snapshots are rendered a row at a time, as the replay gives each
-    round's ``keys``, and are never held whole; a consumer that writes the
-    chunks as they come holds one round's matrix at a time.
+    ``exact_keys`` is one join of cell texts, made once per distinct int,
+    and is one chunk.  A cluster's row of cell texts is looked up once,
+    from the ``keys`` of the first round it is active in, and then follows
+    the merges, so a sequential run's O(n^3) snapshots cost O(n^2) lookups
+    and O(n^3) joins.  They are rendered a row at a time and never held
+    whole; the rows of cell texts take two pointers per cell of the
+    current round's matrix.
     """
     from .ingest import json_chunks  # ingest imports this module
 

@@ -117,8 +117,9 @@ class MergeRound(NamedTuple("MergeRound", [
         replay's rows, made in O(active^2) time when rounds are read in
         order (an earlier round restarts the replay), its ``cells`` dict
         only when read.  Hold on to the result to read it twice.
-        ``dendrogram.to_structured`` and ``structured_chunks`` read ``keys``
-        alone."""
+        ``dendrogram.to_structured`` reads ``active`` and every row of
+        ``keys``; ``structured_chunks`` reads ``active`` and, of ``keys``,
+        only the rows of clusters that are new since the round before."""
         return self._replay.matrix_after(self.round_index)
 
 

@@ -15,6 +15,7 @@ import enum
 import errno
 import json
 import os
+import shutil
 import sys
 import tempfile
 from fractions import Fraction
@@ -228,19 +229,23 @@ _WRITE_BUFFER = 1 << 20
 def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]) -> None:
     """Write each (path, text) pair to a sibling temp file, then rename them
     all.  A text is a ``str`` or an iterable of ``str`` chunks, which is
-    consumed as it is written, so it need never be held whole.  Nothing is
-    renamed until every write has succeeded, and a failure, in a write or
-    in making a chunk, removes every temp file and then every directory the
-    call made, deepest first, so a failed call leaves no output behind.  A
-    target that exists but is not a regular file is refused before anything
-    is written: a directory would fail only at its rename, and a FIFO,
-    socket or device would be replaced by it.  Each file gets the mode a
-    plain ``open(path, "w")`` would give it, 0o666 less the umask."""
+    consumed as it is written, so it need never be held whole.  A text
+    object given for more than one path is written once, to the first
+    path's temp file, which each later path's temp file copies.  Nothing is
+    renamed until every write has succeeded, and a failure, in a write, a
+    copy or in making a chunk, removes every temp file and then every
+    directory the call made, deepest first, so a failed call leaves no
+    output behind.  A target that exists but is not a regular file is
+    refused before anything is written: a directory would fail only at its
+    rename, and a FIFO, socket or device would be replaced by it.  Each
+    file gets the mode a plain ``open(path, "w")`` would give it, 0o666
+    less the umask."""
     umask = os.umask(0)
     os.umask(umask)
     outputs = [(Path(path), text) for path, text in outputs]
     staged: list[tuple[str, Path]] = []
     made: list[Path] = []
+    written: dict[int, str] = {}  # id of a text -> the temp file it went to
     path = None
     try:
         try:
@@ -258,10 +263,13 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]
                 staged.append((tmp, path))
                 with os.fdopen(fd, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as handle:
                     os.fchmod(fd, 0o666 & ~umask)
-                    if isinstance(text, str):
+                    if id(text) in written:
+                        shutil.copyfile(written[id(text)], tmp)
+                    elif isinstance(text, str):
                         handle.write(text)
                     else:
                         handle.writelines(text)
+                written.setdefault(id(text), tmp)
             for tmp, path in staged:
                 os.replace(tmp, path)
         except BaseException:
@@ -383,10 +391,12 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     structured document (``--trace``, ``--format structured``) is rendered
     while it is written, by ``dendrogram.structured_chunks``, so no part of
     it, neither the O(n^3) matrices nor a deep tree's nested
-    ``dendrogram``, is ever one string; a run that asks for both renders it
-    twice, once into each file.  A failure while rendering still leaves no
-    output.  The files are in place before the summary is printed, so a
-    failing ``out`` (an InputOutputError) leaves them complete.
+    ``dendrogram``, is ever one string.  It is rendered once per run: a run
+    that asks for both gives both paths the same chunk iterable, and
+    ``write_texts_atomic`` copies the first file to the second.  A failure
+    while rendering or copying still leaves no output.  The files are in
+    place before the summary is printed, so a failing ``out`` (an
+    InputOutputError) leaves them complete.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -413,20 +423,19 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         if config.report_path is not None:
             report = label_clusters(partition, pattern, schema)
 
-    def structured():
-        return dendro.structured_chunks(dend, trace, schema=schema, pattern=pattern,
-                                        report=report)
-
+    # Rendered only if an output asks for it, and once if both do.
+    structured = dendro.structured_chunks(dend, trace, schema=schema, pattern=pattern,
+                                          report=report)
     outputs = []
     if config.trace_path is not None:
-        outputs.append((config.trace_path, structured()))
+        outputs.append((config.trace_path, structured))
     if config.dendrogram_path is not None:
         if config.dendrogram_format is DendrogramFormat.ASCII:
             outputs.append((config.dendrogram_path, dendro.render_ascii(dend)))
         elif config.dendrogram_format is DendrogramFormat.DOT:
             outputs.append((config.dendrogram_path, dendro.render_dot(dend)))
         else:
-            outputs.append((config.dendrogram_path, structured()))
+            outputs.append((config.dendrogram_path, structured))
     if config.report_path is not None:
         outputs.append((config.report_path, canonical_json(report.to_doc())))
     write_texts_atomic(outputs)

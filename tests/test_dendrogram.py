@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,58 @@ def test_structured_chunks_join_to_the_documents_text(rows, include):
             assert text == canonical_json(to_structured(dend, trace, **sections))
             # The last round leaves one cluster and an empty matrix.
             assert text.count('"display_values": []') == 1
+
+
+def assert_matrices_follow(dend, trace, active_ids):
+    """``structured_chunks`` of ``trace``, whose rounds leave ``active_ids``
+    active, has the per-cell reference matrices and the document's text."""
+    assert [[c.id for c in r.matrix_after.active] for r in trace] == active_ids
+    text = "".join(structured_chunks(dend, trace))
+    assert [r["matrix"] for r in json.loads(text)["rounds"]] == [
+        reference_matrix(r.matrix_after) for r in trace]
+    assert text == canonical_json(to_structured(dend, trace))
+
+
+def test_matrix_rows_follow_interleaved_paper_merges():
+    # Round 2 merges f0 + f2 and f3 + C1 (f4 + f5): the columns at 0, 2, 3
+    # and 5 go from the rows of the survivors f1 and f6, between them, and
+    # two rows are appended.  Round 3 leaves none of round 2's clusters.
+    rows = [(1, 0, 1, 0, 0), (0, 1, 0, 0, 1), (1, 0, 1, 1, 0), (0, 0, 0, 1, 0),
+            (0, 1, 0, 1, 0), (0, 1, 0, 1, 0), (1, 1, 1, 0, 1)]
+    dend, trace = cluster(make_pattern(rows), Metric.EUCLIDEAN,
+                          policy=MergePolicy.PAPER_REPRO)
+    assert [[c.id for c in m.constituents] for m in trace[1].merges] == [[0, 2], [3, 7]]
+    assert_matrices_follow(dend, trace, [[0, 1, 2, 3, 6, 7], [1, 6, 8, 9], [10, 11], [12]])
+    # An earlier round after a later one: f1 and f6 survive, but not first.
+    assert_matrices_follow(dend, trace[1::-1], [[1, 6, 8, 9], [0, 1, 2, 3, 6, 7]])
+
+
+def test_matrix_rows_follow_a_merge_of_the_last_position():
+    # Round 2 merges f0 with C1, the last active cluster, so column 0 goes
+    # from the rows of f1, f4 and f5; round 3 merges the first two of them.
+    rows = [(1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 1), (1, 0, 0, 0),
+            (0, 0, 1, 0)]
+    dend, trace = cluster(make_pattern(rows), Metric.EUCLIDEAN)
+    assert [c.id for c in trace[1].merges[0].constituents] == [0, 6]
+    assert_matrices_follow(dend, trace, [[0, 1, 4, 5, 6], [1, 4, 5, 7], [5, 7, 8],
+                                         [7, 9], [10]])
+
+
+@pytest.mark.parametrize("policy", MergePolicy)
+def test_matrix_rows_of_two_rows(policy):
+    for rows in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
+        dend, trace = cluster(make_pattern(rows), Metric.EUCLIDEAN, policy=policy)
+        assert_matrices_follow(dend, trace, [[2]])
+
+
+def test_traced_matrices_stream_a_row_at_a_time():
+    # 299 rounds over up to 300 clusters: a round's matrix is MBs of text,
+    # its longest row about 23 KB.
+    rng = random.Random(300)
+    rows = [tuple(rng.randint(0, 1) for _ in range(16)) for _ in range(300)]
+    dend, trace = cluster(make_pattern(rows), Metric.EUCLIDEAN)
+    assert len(trace) == 299
+    assert max(map(len, structured_chunks(dend, trace))) < 64 * 1024
 
 
 def chain_dendrogram(n):

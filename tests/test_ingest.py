@@ -3,6 +3,7 @@ import enum
 import errno
 import json
 import os
+import shutil
 import stat
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from objident import (
     parse_cut_spec,
     write_text_atomic,
 )
+from objident import dendrogram
+from objident.dendrogram import structured_chunks
 from objident.ingest import (
     DendrogramFormat,
     InputKind,
@@ -247,6 +250,38 @@ def test_failed_chunks_leave_no_output_temp_file_or_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_shared_text_is_written_once_and_copied(tmp_path):
+    consumed = []
+
+    def chunks():
+        for chunk in ("one", "two\n"):
+            consumed.append(chunk)
+            yield chunk
+
+    text = chunks()
+    first, second = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
+    write_texts_atomic([(first, text), (tmp_path / "c.txt", "other"), (second, text)])
+    assert consumed == ["one", "two\n"]
+    assert first.read_text() == second.read_text() == "onetwo\n"
+    assert (tmp_path / "c.txt").read_text() == "other"
+
+
+def test_failed_copy_of_a_shared_text_leaves_no_output(tmp_path, monkeypatch):
+    copies = []
+
+    def no_space(source, target):
+        copies.append(target)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(shutil, "copyfile", no_space)
+    text = iter(["whole\n"])
+    with pytest.raises(InputOutputError, match="No space left"):
+        write_texts_atomic([(tmp_path / "new" / "a.txt", text),
+                            (tmp_path / "other" / "deeper" / "b.txt", text)])
+    assert len(copies) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def stacks_config(tmp_path, **kwargs):
     return RunConfig(input_path=FIXTURE_DIR / "stacks.json",
                      input_kind=InputKind.COMPONENTS,
@@ -281,6 +316,22 @@ def test_execute_dot_and_structured_formats(tmp_path):
         execute(stacks_config(tmp_path, dendrogram_path=path,
                               dendrogram_format=fmt))
         assert probe in path.read_text()
+
+
+def test_execute_renders_the_structured_document_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)  # on the first chunk read: a render has started
+        yield from structured_chunks(*args, **kwargs)
+
+    monkeypatch.setattr(dendrogram, "structured_chunks", counted)
+    trace, tree = tmp_path / "trace.json", tmp_path / "tree.json"
+    execute(stacks_config(tmp_path, cut=("k", 2), trace_path=trace, dendrogram_path=tree,
+                          dendrogram_format=DendrogramFormat.STRUCTURED))
+    assert len(calls) == 1
+    assert trace.read_bytes() == tree.read_bytes()
+    assert json.loads(trace.read_text())["rounds"][-1]["round"] == 4
 
 
 def test_execute_warns_when_declarations_lack_uses(tmp_path, capsys):
