@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -114,6 +113,28 @@ def cut_k(d: Dendrogram, k: int) -> Partition:
     return _as_groups(d, groups)
 
 
+_MAX_DIGITS = 4300  # CPython's default limit on the digits of an int string
+
+
+def _parse_height(h, error=ValidationError) -> Fraction:
+    """``h`` as an exact height >= 0, for ``cut_height`` and
+    ``ingest.parse_cut_spec``, or ``error`` at once: a text's exponent is
+    bounded before its power of ten is built, and its numerator and
+    denominator so that a run's summary can print them."""
+    text = isinstance(h, str)
+    try:
+        if text and "e" in h.lower() and abs(int(h.lower().rpartition("e")[2])) > _MAX_DIGITS:
+            raise ValueError
+        threshold = Fraction(h)
+        if text and max(threshold.numerator, threshold.denominator) >= 10 ** _MAX_DIGITS:
+            raise ValueError
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise error(f"invalid cut height {h!r}") from None
+    if threshold < 0:
+        raise error("cut height must be >= 0")
+    return threshold
+
+
 def cut_height(d: Dendrogram, h) -> Partition:
     """Maximal subtrees whose merge heights are all <= h.
 
@@ -122,12 +143,7 @@ def cut_height(d: Dendrogram, h) -> Partition:
     decimal threshold.  Merge heights never fall going up the tree (the
     engine enforces it), so a node's own height is its subtree's maximum.
     """
-    try:
-        threshold = Fraction(h)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"invalid cut height {h!r}") from exc
-    if threshold < 0:
-        raise ValidationError("cut height must be >= 0")
+    threshold = _parse_height(h)
     groups: list[int] = []
     stack = [d.root]
     while stack:
@@ -209,22 +225,16 @@ def _node_doc(d: Dendrogram) -> dict:
     return root
 
 
-class _CellText(dict):
-    """Int distance -> ``show(value)`` of its ``ExactDissimilarity``, made
-    on first use; ``exact_keys`` gets ``show_key(value.key)`` of the same
-    ints at the same time."""
+class _Memo(dict):
+    """``make(key)`` of each key, made on its first lookup and kept."""
 
-    def __init__(self, exact: Mapping[int, ExactDissimilarity],
-                 show=attrgetter("display"), show_key=_key_doc):
+    def __init__(self, make):
         super().__init__()
-        self._exact, self._show, self._show_key = exact, show, show_key
-        self.exact_keys: dict[int, object] = {}
+        self._make = make
 
-    def __missing__(self, key: int):
-        value = self._exact[key]
-        self.exact_keys[key] = self._show_key(value.key)
-        text = self[key] = self._show(value)
-        return text
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
 
 
 def _round_doc(r: "MergeRound") -> dict:
@@ -243,14 +253,6 @@ def _round_doc(r: "MergeRound") -> dict:
     }
 
 
-def _matrix_doc(matrix: "ProximityMatrix", text: _CellText) -> dict:
-    # Display strings first: looking them up makes any missing key doc.
-    display_rows = [list(map(text.__getitem__, keys)) for keys in matrix.keys[1:]]
-    key_rows = [list(map(text.exact_keys.__getitem__, keys)) for keys in matrix.keys[1:]]
-    return {"labels": [c.label for c in matrix.active],
-            "display_values": display_rows, "exact_keys": key_rows}
-
-
 # The line break and indent before an item at each depth of the document.
 _INDENT = ["\n" + "  " * depth for depth in range(7)]
 
@@ -264,7 +266,7 @@ def _text_at(doc, depth: int) -> str:
 
 def _matrix_text(matrix: "ProximityMatrix", display_rows: list[list[str]],
                  key_rows: list[list[str]]) -> Iterator[str]:
-    """``_matrix_doc``'s text as the value of a round's ``matrix``, a chunk
+    """The text of a round's ``matrix`` in ``to_structured``, a chunk
     per row of cells.  ``display_rows`` and ``key_rows`` hold, for each
     active cluster, the texts of its row of cells at their depth, 6."""
     yield '{%s"labels": %s,%s"display_values": ' % (
@@ -298,7 +300,7 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     way to that text.  The snapshots of a sequential run hold O(n^3) cells,
     each one a lookup: they are read from each round's
     ``matrix_after.keys``, the engine's int distances, without building its
-    ``cells``; every distinct distance gets one display string and one
+    ``cells``.  One memo per int gives its display string, another its
     ``{num, den}`` dict, so all cells at the same distance share one dict
     object.  The nested ``dendrogram`` is built without recursion, for
     trees of any depth.
@@ -319,12 +321,16 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "rows": [list(row) for row in pattern.rows],
         }
     doc["rounds"] = []
-    text = None
     for r in trace:
         matrix = r.matrix_after
-        if text is None:
-            text = _CellText(matrix.exact)
-        doc["rounds"].append(dict(_round_doc(r), matrix=_matrix_doc(matrix, text)))
+        if not doc["rounds"]:
+            exact = matrix.exact
+            display = _Memo(lambda key: exact[key].display)
+            key_doc = _Memo(lambda key: _key_doc(exact[key].key))
+        doc["rounds"].append(dict(_round_doc(r), matrix={
+            "labels": [c.label for c in matrix.active],
+            "display_values": [list(map(display.__getitem__, keys)) for keys in matrix.keys[1:]],
+            "exact_keys": [list(map(key_doc.__getitem__, keys)) for keys in matrix.keys[1:]]}))
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()
@@ -337,18 +343,19 @@ def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
     The rows of cell texts follow the merges: after a round, the clusters
     that survive it keep their order and every new cluster has a larger id
     than any of them, so a gone cluster's row and column are deleted and a
-    new cluster's row is appended, its cells looked up once.  A round that
-    does not follow the one before, such as an earlier one, starts the rows
-    again from its ``keys``."""
-    text = None
+    new cluster's row is appended, its cells looked up once, in one memo
+    per int of display texts and one of ``{num, den}`` texts.  A round
+    that does not follow the one before, such as an earlier one, starts
+    the rows again from its ``keys``."""
     ids: list[int] = []
     display_rows: list[list[str]] = []
     key_rows: list[list[str]] = []
     for index, r in enumerate(trace):
         matrix = r.matrix_after
-        if text is None:
-            text = _CellText(matrix.exact, lambda value: _text_at(value.display, 6),
-                             lambda key: _text_at(_key_doc(key), 6))
+        if not index:
+            exact = matrix.exact
+            display = _Memo(lambda key: _text_at(exact[key].display, 6))
+            key_text = _Memo(lambda key: _text_at(_key_doc(exact[key].key), 6))
         now = [c.id for c in matrix.active]
         active = set(now)
         for p in reversed([p for p, i in enumerate(ids) if i not in active]):
@@ -360,9 +367,8 @@ def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
         if ids != now[:len(ids)]:
             ids, display_rows, key_rows = [], [], []
         for keys in matrix.keys[len(ids):]:
-            # Display texts first: looking them up makes any missing key text.
-            display_rows.append(list(map(text.__getitem__, keys)))
-            key_rows.append(list(map(text.exact_keys.__getitem__, keys)))
+            display_rows.append(list(map(display.__getitem__, keys)))
+            key_rows.append(list(map(key_text.__getitem__, keys)))
         ids = now
         # The round's own text less its closing brace, which follows its matrix.
         round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]

@@ -141,29 +141,37 @@ def _row_classes(pattern: PatternMatrix) -> list[list[int]]:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def _packed(rows) -> list[int]:
+    """Each pattern row as an int whose set bits are its set columns."""
+    return [int(bytes(row).translate(_DIGITS) or b"0", 2) for row in rows]
+
+
+def _row_ints(metric: Metric, width: int, a: int, rows: list[int]) -> list[int]:
+    """The distance of packed row ``a`` to each packed row of ``rows``, as
+    an int that orders and ties exactly like the metric's key."""
+    if metric is not Metric.JACCARD:
+        # The Euclidean (squared), Manhattan and SMC keys are the mismatch
+        # count or a fixed multiple of it.
+        return [(a ^ b).bit_count() for b in rows]
+    # Jaccard is x/u with x mismatches and 0 < u <= W set columns, or 0 for
+    # two empty rows.  Two distinct fractions with denominators <= W differ
+    # by at least 1/W^2, so floor(x * W^2 / u) orders and ties like x/u.
+    scale = width * width
+    return [(a ^ b).bit_count() * scale // ((a | b).bit_count() or 1) for b in rows]
+
+
 def _pair_ints(pattern: PatternMatrix, metric: Metric,
                classes: list[list[int]]) -> dict[int, array]:
-    """The distance of each pair of distinct pattern rows, as an int that
-    orders and ties exactly like the metric's key, bucketed by int: a pair
-    of classes p < q is stored once, packed as ``p * len(classes) + q``.
+    """``_row_ints`` of each pair of distinct pattern rows, bucketed by int:
+    a pair of classes p < q is stored once, packed as ``p * len(classes) + q``.
 
     ``classes`` is ``_row_classes(pattern)``: each distinct row is packed
     once, and only the upper triangle of the class pairs is computed."""
-    packed = [int(bytes(pattern.rows[ids[0]]).translate(_DIGITS) or b"0", 2)
-              for ids in classes]
-    count, scale = len(packed), pattern.n_cols ** 2
+    packed = _packed(pattern.rows[ids[0]] for ids in classes)
+    count = len(packed)
     buckets: dict[int, array] = defaultdict(lambda: array("I"))
     for p, a in enumerate(packed):
-        if metric is not Metric.JACCARD:
-            # The Euclidean (squared), Manhattan and SMC keys are the
-            # mismatch count or a fixed multiple of it.
-            keys = [(a ^ b).bit_count() for b in packed[p + 1:]]
-        else:
-            # Jaccard is x/u with x mismatches and 0 < u <= W set columns.
-            # Two distinct fractions with denominators <= W differ by at
-            # least 1/W^2, so floor(x * W^2 / u) orders and ties like x/u.
-            keys = [(a ^ b).bit_count() * scale // (a | b).bit_count()
-                    for b in packed[p + 1:]]
+        keys = _row_ints(metric, pattern.n_cols, a, packed[p + 1:])
         for pq, key in enumerate(keys, p * count + p + 1):
             buckets[key].append(pq)
     return buckets
@@ -171,17 +179,10 @@ def _pair_ints(pattern: PatternMatrix, metric: Metric,
 
 def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
     """The int distance between every two pattern rows, as a lower
-    triangle: row p holds the distances to rows 0..p-1."""
-    classes = _row_classes(pattern)
-    count = len(classes)
-    table = [[0] * count for _ in classes]
-    for key, pairs in _pair_ints(pattern, metric, classes).items():
-        for pq in pairs:
-            p, q = divmod(pq, count)
-            table[p][q] = table[q][p] = key
-    index = {pattern.rows[ids[0]]: c for c, ids in enumerate(classes)}
-    of = [index[row] for row in pattern.rows]
-    return [list(map(table[c].__getitem__, of[:p])) for p, c in enumerate(of)]
+    triangle: row p is ``_row_ints`` of row p against rows 0..p-1, copies
+    included, each row a list of its own."""
+    packed = _packed(pattern.rows)
+    return [_row_ints(metric, pattern.n_cols, a, packed[:p]) for p, a in enumerate(packed)]
 
 
 class _ExactKeys(dict):

@@ -318,13 +318,7 @@ def parse_cut_spec(text: str) -> tuple[str, int | Fraction]:
         if size < 1:
             raise ConfigError("cut size must be >= 1")
         return "k", size
-    try:
-        height = Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"invalid cut height {value!r}") from None
-    if height < 0:
-        raise ConfigError("cut height must be >= 0")
-    return "h", height
+    return "h", dendro._parse_height(value, ConfigError)
 
 
 class _RunFields(NamedTuple):

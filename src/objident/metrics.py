@@ -10,11 +10,10 @@ the 2-decimal display value.
 
 from __future__ import annotations
 
-import decimal
 import enum
-import functools
 import operator
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, ValidationError
@@ -38,17 +37,14 @@ def metric_from_name(name: str) -> Metric:
         raise ConfigError(f"unknown metric {name!r} (expected one of: {valid})") from None
 
 
-@functools.lru_cache(maxsize=4096)
 def two_decimals(value: Fraction, *, sqrt: bool = False) -> str:
-    """``value``, or its square root, rounded half-up to two decimals, e.g. '1.41'.
-
-    A run shows few distinct values many times, so each is rounded once."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 30
-        dec = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        if sqrt:
-            dec = dec.sqrt()
-        return str(dec.quantize(decimal.Decimal("0.01"), rounding=decimal.ROUND_HALF_UP))
+    """``value`` (>= 0), or its square root, rounded half up to two
+    decimals, e.g. '1.41', in exact integers: the hundredths are
+    floor((floor(200 * value) + 1) / 2), or the same of the square root,
+    where floor(200 * sqrt(value)) is isqrt(floor(40000 * value))."""
+    n, d = value.numerator, value.denominator
+    hundredths = (isqrt(40000 * n // d) if sqrt else 200 * n // d) + 1 >> 1
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def _same_metric_order(compare):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,23 @@ def test_bad_cut_spec_is_config_error(tmp_path, capsys):
     code = main(cluster_args(tmp_path, "--cut", "q:2"))
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300"])
+def test_unusable_cut_height_is_config_error_at_once(tmp_path, capsys, height):
+    # An exponent is bounded before its power of ten is built, and a height
+    # the summary could not print (10**4300 has 4,301 digits) is refused.
+    start = time.perf_counter()
+    code = main(cluster_args(tmp_path, "--cut", f"h:{height}"))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"error[config]: invalid cut height '{height}'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.json").exists()
+
+
+def test_cut_height_at_the_digit_limit_runs(tmp_path, capsys):
+    assert main(cluster_args(tmp_path, "--cut", "h:1e4299")) == 0
+    assert "cut h:1" + "0" * 4299 + " -> 1 group(s)" in capsys.readouterr().out
 
 
 def test_report_without_cut_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,15 @@ def test_cut_height_rejects_bad_input(stacks_tree):
         cut_height(stacks_tree.dendrogram, -1)
     with pytest.raises(ValidationError):
         cut_height(stacks_tree.dendrogram, "tall")
+
+
+@pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
+                                    float("inf"), float("nan")])
+def test_cut_height_refuses_unusable_heights_at_once(stacks_tree, height):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="invalid cut height"):
+        cut_height(stacks_tree.dendrogram, height)
+    assert time.perf_counter() - start < 1
 
 
 def test_render_ascii_contents(stacks_tree):

@@ -57,8 +57,7 @@ def make_pattern(rows, labels=None):
 
 def pair_ints(pattern, metric):
     """The int of every two rows, one full list per row: the replay's lower
-    triangle before any merge, filled from the engine's buckets of
-    distinct-row pairs, mirrored, with 0 on the diagonal."""
+    triangle before any merge, mirrored, with 0 on the diagonal."""
     low = engine._leaf_table(pattern, metric)
     return [[low[p][q] if q < p else low[q][p] if q > p else 0 for q in range(len(low))]
             for p in range(len(low))]
@@ -425,11 +424,18 @@ def per_pair_int(metric, a, b):
 def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
     rng = random.Random(11)
     width = 6
+    inputs = []
     for _ in range(40):
         distinct = {tuple(rng.randint(0, 1) for _ in range(width))
                     for _ in range(rng.randint(1, 6))}
         rows = [*distinct, *rng.choices(sorted(distinct), k=rng.randint(1, 8))]
         rng.shuffle(rows)
+        inputs.append(rows)
+    # Copies of the all-zero row: under Jaccard two empty rows are at 0,
+    # though their x/u would be 0/0.
+    zero, ends, middle = (0,) * width, (1, 0, 0, 0, 0, 1), (0, 1, 1, 0, 0, 0)
+    inputs.append([zero, ends, zero, middle, zero, ends])
+    for rows in inputs:
         pattern = make_pattern(rows)
         # Each pair of distinct rows is bucketed once, as p * count + q, p < q.
         classes = engine._row_classes(pattern)
@@ -438,8 +444,8 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
             p * count + q for p, q in itertools.combinations(range(count), 2)]
         assert pair_ints(pattern, metric) == [[per_pair_int(metric, a, b) for b in rows]
                                               for a in rows]
-        # Copies of a row share its class's distances but never a list: the
-        # replay deletes from its rows in place.
+        # Each row, copies included, is computed against the rows before it
+        # into a list of its own: the replay deletes from its rows in place.
         table = engine._leaf_table(pattern, metric)
         assert [len(row) for row in table] == list(range(len(rows)))
         assert len(set(map(id, table))) == len(rows)

@@ -14,6 +14,7 @@ from objident import (
     distance,
     metric_from_name,
 )
+from objident.metrics import two_decimals
 
 import oracle
 
@@ -124,6 +125,30 @@ def test_euclidean_value_matches_float_oracle_exhaustively():
         for b in rows:
             assert abs(math.sqrt(distance(Metric.EUCLIDEAN, a, b).key)
                        - oracle.euclidean_value(a, b)) < 1e-9
+
+
+def rounds_half_up(text, value, sqrt):
+    """Whether ``text`` shows q hundredths with q the nearest to ``value``
+    (or its square root), a tie going up: (2q-1)/200 <= v < (2q+1)/200,
+    squared under ``sqrt``, in exact fractions."""
+    whole, dot, cents = text.partition(".")
+    assert dot and len(cents) == 2 and (whole + cents).isdigit(), text
+    q = int(whole + cents)
+    if sqrt:
+        return max(2 * q - 1, 0) ** 2 <= 40000 * value < (2 * q + 1) ** 2
+    return Fraction(2 * q - 1, 200) <= value < Fraction(2 * q + 1, 200)
+
+
+def test_two_decimals_rounds_half_up_exactly():
+    values = {Fraction(x, u) for u in range(1, 61) for x in range(u + 1)}
+    values.update(map(Fraction, range(10001)))
+    ties = {Fraction(1, 8): "0.13", Fraction(3, 8): "0.38", Fraction(1, 200): "0.01"}
+    for value in sorted(values | set(ties)):
+        for sqrt in (False, True):
+            assert rounds_half_up(two_decimals(value, sqrt=sqrt), value, sqrt), (value, sqrt)
+    assert {value: two_decimals(value) for value in ties} == ties
+    # sqrt(9/40000) = 0.015 exactly.
+    assert two_decimals(Fraction(9, 40000), sqrt=True) == "0.02"
 
 
 def test_ordering_is_exact_and_same_metric_only():
