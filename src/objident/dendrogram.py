@@ -9,15 +9,17 @@ pure functions of the tree; child ordering in every rendering is canonical
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .metrics import ExactDissimilarity
 
 if TYPE_CHECKING:
-    from .engine import MergeRound, ProximityMatrix
+    from .engine import MergeRound
     from .features import PatternMatrix
     from .report import CandidateObjectReport
 
@@ -118,15 +120,21 @@ _MAX_DIGITS = 4300  # CPython's default limit on the digits of an int string
 
 def _parse_height(h, error=ValidationError) -> Fraction:
     """``h`` as an exact height >= 0, for ``cut_height`` and
-    ``ingest.parse_cut_spec``, or ``error`` at once: a text's exponent is
-    bounded before its power of ten is built, and its numerator and
-    denominator so that a run's summary can print them."""
-    text = isinstance(h, str)
+    ``ingest.parse_cut_spec``, or ``error`` at once: the exponent of a text
+    or a ``Decimal`` is bounded before its power of ten is built, so are a
+    ``Decimal``'s digits, and then their numerator and denominator, so that
+    a run's summary can print them.  NaN and infinities are refused."""
+    text, decimal = isinstance(h, str), isinstance(h, Decimal)
     try:
         if text and "e" in h.lower() and abs(int(h.lower().rpartition("e")[2])) > _MAX_DIGITS:
             raise ValueError
+        if decimal:
+            _, digits, exponent = h.as_tuple()
+            if not h.is_finite() or max(len(digits), abs(exponent)) > _MAX_DIGITS:
+                raise ValueError
         threshold = Fraction(h)
-        if text and max(threshold.numerator, threshold.denominator) >= 10 ** _MAX_DIGITS:
+        if (text or decimal) and max(threshold.numerator,
+                                     threshold.denominator) >= 10 ** _MAX_DIGITS:
             raise ValueError
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise error(f"invalid cut height {h!r}") from None
@@ -254,23 +262,68 @@ def _round_doc(r: "MergeRound") -> dict:
 
 
 # The line break and indent before an item at each depth of the document.
-_INDENT = ["\n" + "  " * depth for depth in range(7)]
+_INDENT = ["\n" + "  " * depth for depth in range(8)]
 
 
-def _text_at(doc, depth: int) -> str:
-    """``canonical_json(doc)`` without its final line break, indented to
-    stand at ``depth``."""
-    from .ingest import json_chunks  # ingest imports this module
-    return "".join(json_chunks(doc, depth))
+def _list_text(texts: Iterable[str], depth: int) -> str:
+    """json's text, at ``depth``, of a non-empty list whose items have
+    ``texts`` at ``depth + 1``."""
+    inner = _INDENT[depth + 1]
+    return "[" + inner + ("," + inner).join(texts) + _INDENT[depth] + "]"
 
 
-def _matrix_text(matrix: "ProximityMatrix", display_rows: list[list[str]],
+def _dict_text(items: Iterable[tuple[str, str]], depth: int) -> str:
+    """json's text, at ``depth``, of a non-empty dict of (key, value text)
+    ``items`` whose keys need no escapes."""
+    inner = _INDENT[depth + 1]
+    texts = ('"%s": %s' % item for item in items)
+    return "{" + inner + ("," + inner).join(texts) + _INDENT[depth] + "}"
+
+
+def _key_text(key: Fraction, depth: int) -> str:
+    return _dict_text((("num", str(key.numerator)), ("den", str(key.denominator))), depth)
+
+
+def _cell_rows(trace: Sequence["MergeRound"], display, key):
+    """For each round of ``trace``: its step of ``engine.walk_rounds``, and
+    the rows of ``display`` and of ``key`` of each cell's
+    ``ExactDissimilarity`` in its matrix, a row per active cluster.
+
+    The rows follow the merges: the clusters that survive a round keep
+    their order, and every new cluster has a larger id than any of them, so
+    a gone cluster's row and column are deleted and a new cluster's row is
+    appended, its cells looked up once, in a memo per int of each kind.
+    The walk hands out only the new clusters' rows.  The rows change in
+    place at the next round."""
+    from .engine import walk_rounds  # the engine imports this module
+
+    ids: list[int] = []
+    display_rows: list[list] = []
+    key_rows: list[list] = []
+    for step in walk_rounds(trace):
+        if not ids:  # the first round
+            display_of = _Memo(lambda k, exact=step.exact: display(exact[k]))
+            key_of = _Memo(lambda k, exact=step.exact: key(exact[k]))
+        kept = {c.id for c in step.active[:len(step.active) - len(step.new_rows)]}
+        for p in reversed([p for p, i in enumerate(ids) if i not in kept]):
+            for rows in (display_rows, key_rows):
+                del rows[p]
+                for later in rows[p:]:
+                    del later[p]
+        for keys in step.new_rows:
+            display_rows.append(list(map(display_of.__getitem__, keys)))
+            key_rows.append(list(map(key_of.__getitem__, keys)))
+        ids = [c.id for c in step.active]
+        yield step, display_rows, key_rows
+
+
+def _matrix_text(labels: str, display_rows: list[list[str]],
                  key_rows: list[list[str]]) -> Iterator[str]:
     """The text of a round's ``matrix`` in ``to_structured``, a chunk
-    per row of cells.  ``display_rows`` and ``key_rows`` hold, for each
-    active cluster, the texts of its row of cells at their depth, 6."""
-    yield '{%s"labels": %s,%s"display_values": ' % (
-        _INDENT[4], _text_at([c.label for c in matrix.active], 4), _INDENT[4])
+    per row of cells.  ``labels`` is the text of its ``labels``, and
+    ``display_rows`` and ``key_rows`` hold, for each active cluster, the
+    texts of its row of cells at their depth, 6."""
+    yield '{%s"labels": %s,%s"display_values": ' % (_INDENT[4], labels, _INDENT[4])
     for rows, after in ((display_rows, ',%s"exact_keys": ' % _INDENT[4]),
                         (key_rows, _INDENT[3] + "}")):
         if len(rows) < 2:
@@ -297,13 +350,14 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     ``canonical_json`` of it is exactly the text that ``structured_chunks``
     yields, which is what the command line writes, but it renders every
     cell's ``{num, den}`` on its own, so ``structured_chunks`` is the fast
-    way to that text.  The snapshots of a sequential run hold O(n^3) cells,
-    each one a lookup: they are read from each round's
-    ``matrix_after.keys``, the engine's int distances, without building its
-    ``cells``.  One memo per int gives its display string, another its
-    ``{num, den}`` dict, so all cells at the same distance share one dict
-    object.  The nested ``dendrogram`` is built without recursion, for
-    trees of any depth.
+    way to that text.  Like ``structured_chunks``, it reads the snapshots
+    from a walk of its own, ``engine.walk_rounds``, which hands out only
+    the new clusters' rows, never from ``MergeRound.matrix_after``: rows
+    of cells follow the merges and each round gets a copy of them, so a
+    sequential run's O(n^3) cells take O(n^2) lookups.  One memo per int
+    gives its display string, another its ``{num, den}`` dict, so all
+    cells at the same distance share one dict object.  The nested
+    ``dendrogram`` is built without recursion, for trees of any depth.
     """
     doc: dict = {}
     if schema is not None:
@@ -320,17 +374,13 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "col_labels": list(pattern.col_labels),
             "rows": [list(row) for row in pattern.rows],
         }
-    doc["rounds"] = []
-    for r in trace:
-        matrix = r.matrix_after
-        if not doc["rounds"]:
-            exact = matrix.exact
-            display = _Memo(lambda key: exact[key].display)
-            key_doc = _Memo(lambda key: _key_doc(exact[key].key))
-        doc["rounds"].append(dict(_round_doc(r), matrix={
-            "labels": [c.label for c in matrix.active],
-            "display_values": [list(map(display.__getitem__, keys)) for keys in matrix.keys[1:]],
-            "exact_keys": [list(map(key_doc.__getitem__, keys)) for keys in matrix.keys[1:]]}))
+    doc["rounds"] = [
+        dict(_round_doc(step.round), matrix={
+            "labels": [c.label for c in step.active],
+            "display_values": list(map(list.copy, display_rows[1:])),
+            "exact_keys": list(map(list.copy, key_rows[1:]))})
+        for step, display_rows, key_rows in _cell_rows(
+            trace, lambda e: e.display, lambda e: _key_doc(e.key))]
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()
@@ -340,41 +390,29 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
 def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
     """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells.
 
-    The rows of cell texts follow the merges: after a round, the clusters
-    that survive it keep their order and every new cluster has a larger id
-    than any of them, so a gone cluster's row and column are deleted and a
-    new cluster's row is appended, its cells looked up once, in one memo
-    per int of display texts and one of ``{num, den}`` texts.  A round
-    that does not follow the one before, such as an earlier one, starts
-    the rows again from its ``keys``."""
-    ids: list[int] = []
-    display_rows: list[list[str]] = []
-    key_rows: list[list[str]] = []
-    for index, r in enumerate(trace):
-        matrix = r.matrix_after
-        if not index:
-            exact = matrix.exact
-            display = _Memo(lambda key: _text_at(exact[key].display, 6))
-            key_text = _Memo(lambda key: _text_at(_key_doc(exact[key].key), 6))
-        now = [c.id for c in matrix.active]
-        active = set(now)
-        for p in reversed([p for p, i in enumerate(ids) if i not in active]):
-            del ids[p]
-            for rows in (display_rows, key_rows):
-                del rows[p]
-                for later in rows[p:]:
-                    del later[p]
-        if ids != now[:len(ids)]:
-            ids, display_rows, key_rows = [], [], []
-        for keys in matrix.keys[len(ids):]:
-            display_rows.append(list(map(display.__getitem__, keys)))
-            key_rows.append(list(map(key_text.__getitem__, keys)))
-        ids = now
+    The rows of cell texts are ``_cell_rows``'s, from ``engine.walk_rounds``,
+    which hands out only the new clusters' rows: one memo per int gives
+    display texts, another ``{num, den}`` texts.  Each round's head and
+    ``labels`` are formatted from the text of each label, made once by
+    json's string encoder."""
+    label = _Memo(encode_basestring)
+    rounds = _cell_rows(trace, lambda e: encode_basestring(e.display),
+                        lambda e: _key_text(e.key, 6))
+    for index, (step, display_rows, key_rows) in enumerate(rounds):
+        r = step.round
+        merges = [_dict_text((("label", label[m.new.label]),
+                              ("member_labels", _list_text(
+                                  [label[c.label] for c in m.constituents], 5))), 4)
+                  for m in r.merges]
         # The round's own text less its closing brace, which follows its matrix.
-        round_head = _text_at(_round_doc(r), 2)[:-len(_INDENT[2]) - 1]
-        yield '%s%s%s,%s"matrix": ' % ("," if index else "[", _INDENT[2], round_head,
-                                       _INDENT[3])
-        yield from _matrix_text(matrix, display_rows, key_rows)
+        head = _dict_text((("round", str(r.round_index)),
+                           ("min_display", encode_basestring(r.min_key.display)),
+                           ("min_key", _key_text(r.min_key.key, 3)),
+                           ("merges", _list_text(merges, 3)),
+                           ("matrix", "")), 2)
+        yield ("," if index else "[") + _INDENT[2] + head[:-len(_INDENT[2]) - 1]
+        yield from _matrix_text(_list_text([label[c.label] for c in step.active], 4),
+                                display_rows, key_rows)
         yield _INDENT[2] + "}"
     yield _INDENT[1] + "]"
 
@@ -386,16 +424,18 @@ def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
 
     Every section but ``rounds`` is ``json_chunks`` of its value in
     ``to_structured`` with no rounds, so no section is ever one string:
-    the nested ``dendrogram`` is rendered a node at a time.  Each round's
-    merges come from the same dict as there.  The matrix cells are never
-    built as documents: each row of ``display_values`` and of
-    ``exact_keys`` is one join of cell texts, made once per distinct int,
-    and is one chunk.  A cluster's row of cell texts is looked up once,
-    from the ``keys`` of the first round it is active in, and then follows
-    the merges, so a sequential run's O(n^3) snapshots cost O(n^2) lookups
-    and O(n^3) joins.  They are rendered a row at a time and never held
-    whole; the rows of cell texts take two pointers per cell of the
-    current round's matrix.
+    the nested ``dendrogram`` is rendered a node at a time.  No round is
+    built as a document: its head and ``labels`` are formatted from texts
+    of json's string encoder, one per label, and each row of
+    ``display_values`` and of ``exact_keys`` is one join of cell texts,
+    made once per distinct int, and is one chunk.  The snapshots come from
+    a walk of the engine's own, ``walk_rounds``, which hands out only the
+    new clusters' rows, never from ``MergeRound.matrix_after``: a
+    cluster's row of cell texts is looked up once, in the first round it
+    is active in, and then follows the merges, so a sequential run's
+    O(n^3) snapshots cost O(n^2) lookups and O(n^3) joins.  They are
+    rendered a row at a time and never held whole; the rows of cell texts
+    take two pointers per cell of the current round's matrix.
     """
     from .ingest import json_chunks  # ingest imports this module
 

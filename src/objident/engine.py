@@ -23,11 +23,14 @@ order taking its smallest neighbour.  Time is O(n^2 log n) and memory O(n^2)
 for n pattern rows, whatever the ties.
 
 No distance table between clusters is kept.  A round's proximity matrix is
-re-derived from the merge list by a replay that applies the merges, by the
-single-linkage row minimum, to a lower triangle of the leaf distances built
-on the first read, whose rows are the matrix's ``keys``.  Reading rounds in
-order costs O(active^2) each; going back to an earlier round restarts the
-replay.
+re-derived from the merge list by a forward walk that applies the merges,
+by the single-linkage row minimum, in place to a lower triangle of the leaf
+distances that it owns, whose rows are the matrix's ``keys``: a round only
+deletes its merged clusters' rows and columns and appends a row per new
+cluster.  ``walk_rounds`` hands out each round's new rows and copies
+nothing; ``MergeRound.matrix_after`` copies every row, from a walk of its
+own.  Reading rounds in order costs O(active^2) each; an earlier round
+starts the walk again from the leaves.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from collections import defaultdict, deque
 from functools import cached_property
 from heapq import heappop, heapreplace
 from itertools import chain
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .dendrogram import DendroNode, Dendrogram
 from .errors import ConfigError, ValidationError
@@ -113,14 +116,45 @@ class MergeRound(NamedTuple("MergeRound", [
     @property
     def matrix_after(self) -> ProximityMatrix:
         """The proximity matrix after this round's merges, rebuilt on every
-        access by the run's replay: its int ``keys`` are a copy of the
-        replay's rows, made in O(active^2) time when rounds are read in
-        order (an earlier round restarts the replay), its ``cells`` dict
-        only when read.  Hold on to the result to read it twice.
-        ``dendrogram.to_structured`` reads ``active`` and every row of
-        ``keys``; ``structured_chunks`` reads ``active`` and, of ``keys``,
-        only the rows of clusters that are new since the round before."""
+        access by the run's replay: its int ``keys`` are a copy of the rows
+        of the replay's own walk, made in O(active^2) time when rounds are
+        read in order (an earlier round starts the walk again), its
+        ``cells`` dict only when read.  Hold on to the result to read it
+        twice.  This is the library's reader: ``dendrogram.to_structured``
+        and ``structured_chunks`` never call it, and read instead, through
+        a ``walk_rounds`` of their own, only the new clusters' rows."""
         return self._replay.matrix_after(self.round_index)
+
+
+class RoundRows(NamedTuple):
+    """One step of ``walk_rounds``: a round, the clusters active after it
+    (ascending by id) and the ``ProximityMatrix.keys`` rows of the new ones,
+    the last ``len(new_rows)`` of ``active``; ``exact`` maps each int to its
+    ``ExactDissimilarity``.  The rows are the walk's own: they change when
+    it moves on."""
+
+    round: MergeRound
+    active: tuple[DendroNode, ...]
+    new_rows: list[list[int]]
+    exact: Mapping[int, ExactDissimilarity]
+
+
+def walk_rounds(trace: Sequence[MergeRound]) -> Iterator[RoundRows]:
+    """Each round of ``trace``, rounds of one run, with its active clusters
+    and new rows, from one walk over the merge list that applies the
+    merges in place to a lower triangle of its own: no matrix is copied,
+    and nothing is shared with ``matrix_after``.  A cluster is new
+    if it was not active after the round before it in ``trace``; all are
+    new at the first round and at one earlier than the round before it,
+    where the walk starts again from the leaves."""
+    if trace:
+        replay = trace[0]._replay
+        table = _Triangle(replay)
+        for r in trace:
+            if r._replay is not replay:
+                raise ValidationError("the rounds of a trace must come from one run")
+            kept = table.move_to(r.round_index)
+            yield RoundRows(r, table.nodes(), table.rows[kept:], replay.exact)
 
 
 class ClusterResult(NamedTuple):
@@ -210,15 +244,9 @@ class _ExactKeys(dict):
 
 
 class _Replay:
-    """An agglomeration's merge list, ``clusters`` (tree nodes by id), and
-    the proximity matrices re-derived from it.  On the first read the
-    merges are applied, by the single-linkage row minimum, to a lower
-    triangle of the active clusters' int distances: ``rows[p][q]``, q < p,
-    is the distance between ``active[p]`` and ``active[q]``, so the table
-    is already the ``keys`` of a ``ProximityMatrix``.  ``applied`` counts
-    the clusters it holds or has merged away.  The table only moves
-    forward; an earlier round than the last one read starts again from the
-    leaves."""
+    """An agglomeration's merge list, ``clusters`` (tree nodes by id), the
+    int -> ``ExactDissimilarity`` map, and the walk that ``matrix_after``
+    reads."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
         if pattern.n_rows < 2:
@@ -226,9 +254,7 @@ class _Replay:
         self.pattern, self.metric = pattern, metric
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
         self.exact = _ExactKeys(metric, pattern.n_cols)
-        self.rows: list[list[int]] = []
-        self.active: list[int] = []
-        self.applied = 0
+        self.table = _Triangle(self)
 
     def record(self, group: tuple[int, ...], height: ExactDissimilarity,
                round_index: int) -> DendroNode:
@@ -240,6 +266,44 @@ class _Replay:
         clusters.append(new)
         return new
 
+    def matrix_after(self, round_index: int) -> ProximityMatrix:
+        """The proximity matrix over the clusters active after a round
+        (round 0: the original rows), with a copy of the walk's rows."""
+        self.table.move_to(round_index)
+        return ProximityMatrix(self.table.nodes(), list(map(list.copy, self.table.rows)),
+                               self.exact)
+
+
+class _Triangle:
+    """The int distances between the clusters active after a round of a
+    replay, as a lower triangle: ``rows[p][q]``, q < p, is the distance
+    between the clusters of ids ``active[p]`` and ``active[q]``.  Built
+    from the leaves on the first move, it then only moves forward, in
+    place; ``applied`` counts the clusters it holds or has merged away."""
+
+    def __init__(self, replay: _Replay):
+        self.replay = replay
+        self.rows: list[list[int]] = []
+        self.active: list[int] = []
+        self.applied = 0
+
+    def nodes(self) -> tuple[DendroNode, ...]:
+        return tuple(map(self.replay.clusters.__getitem__, self.active))
+
+    def move_to(self, round_index: int) -> int:
+        """Apply the merges of the rounds up to ``round_index`` (0: none),
+        starting again from the leaves if it is past that round; return how
+        many rows, from the first, are of clusters it held before the move."""
+        replay, clusters = self.replay, self.replay.clusters
+        before = self.applied
+        if not before or (clusters[before - 1].round_index or 0) > round_index:
+            self.rows = _leaf_table(replay.pattern, replay.metric)
+            self.active = list(range(replay.pattern.n_rows))
+            self.applied, before = replay.pattern.n_rows, 0
+        while self.applied < len(clusters) and clusters[self.applied].round_index <= round_index:
+            self._merge(clusters[self.applied])
+        return bisect_left(self.active, before)
+
     def _merge(self, node: DendroNode) -> None:
         """Replace the rows and columns of ``node``'s children by one last
         row, their minimum: ``node`` has the largest id yet."""
@@ -248,30 +312,15 @@ class _Replay:
         # Each child's distances to every position, 0 at its own.
         row = list(map(min, *(rows[p] + [0] + [later[p] for later in rows[p + 1:]]
                               for p in at)))
+        # From the last position down, so that each one still holds: the
+        # rows after it are the ones with a column there.
         for p in reversed(at):
             del row[p], rows[p], active[p]
-        for later in rows[at[0]:]:
-            for p in reversed(at):
-                if p < len(later):
-                    del later[p]
+            for later in rows[p:]:
+                del later[p]
         rows.append(row)
         active.append(node.id)
         self.applied += 1
-
-    def matrix_after(self, round_index: int) -> ProximityMatrix:
-        """The proximity matrix over the clusters active after a round
-        (round 0: the original rows)."""
-        clusters = self.clusters
-        if not self.applied or (clusters[self.applied - 1].round_index or 0) > round_index:
-            self.rows = _leaf_table(self.pattern, self.metric)
-            self.active = list(range(self.pattern.n_rows))
-            self.applied = self.pattern.n_rows
-        for node in clusters[self.applied:]:
-            if node.round_index > round_index:
-                break
-            self._merge(node)
-        return ProximityMatrix(tuple(map(clusters.__getitem__, self.active)),
-                               list(map(list.copy, self.rows)), self.exact)
 
 
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
@@ -296,7 +345,8 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     current level, all freed on return: a replay of the merges rebuilds a
     round's ``matrix_after`` when it is read, from a lower triangle over
     the active clusters alone, so reading every round's matrix of a
-    sequential run costs O(n^3) in time and O(n^2) in memory.
+    sequential run costs O(n^3) in time and O(n^2) in memory;
+    ``walk_rounds`` hands out only each round's new rows.
     """
     replay = _Replay(pattern, metric)
     clusters, n = replay.clusters, pattern.n_rows

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from objident import (
     to_structured,
 )
 from objident.dendrogram import DendroNode, Dendrogram, structured_chunks
+from objident.engine import MergeRound
 from objident.metrics import ExactDissimilarity
 
 from conftest import FIXTURE_DIR
@@ -123,7 +125,9 @@ def test_cut_height_rejects_bad_input(stacks_tree):
 
 
 @pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
-                                    float("inf"), float("nan")])
+                                    float("inf"), float("nan"), Decimal("1e99999999"),
+                                    Decimal("1e-99999999"), Decimal("NaN"),
+                                    Decimal("Infinity")])
 def test_cut_height_refuses_unusable_heights_at_once(stacks_tree, height):
     start = time.perf_counter()
     with pytest.raises(ValidationError, match="invalid cut height"):
@@ -257,6 +261,20 @@ CORPORA = [FIXTURE_DIR / "stacks.json", FIXTURE_DIR / "stack_queue.json",
            INPUT_DIR / "syn32.decls", INPUT_DIR / "syn60.decls"]
 
 
+def reference_text(dend, trace, doc):
+    """``json.dumps`` of ``doc`` with its rounds and tree built by hand,
+    every matrix read through ``matrix_after``."""
+    reference = dict(doc, dendrogram=reference_tree(dend, dend.root), rounds=[
+        {"round": r.round_index, "min_display": r.min_key.display,
+         "min_key": key_doc(r.min_key.key),
+         "merges": [{"label": m.new.label,
+                     "member_labels": [c.label for c in m.constituents]}
+                    for m in r.merges],
+         "matrix": reference_matrix(r.matrix_after)}
+        for r in trace])
+    return json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("path", CORPORA, ids=lambda p: p.name)
 def test_structured_text_matches_per_cell_reference(path):
     parse = parse_components if path.suffix == ".json" else parse_declarations
@@ -269,17 +287,74 @@ def test_structured_text_matches_per_cell_reference(path):
             report = label_clusters(cut_height(dend, "0.5"), pattern, schema)
             sections = dict(schema=schema, pattern=pattern, report=report)
             doc = to_structured(dend, trace, **sections)
-            reference = dict(doc, dendrogram=reference_tree(dend, dend.root), rounds=[
-                {"round": r.round_index, "min_display": r.min_key.display,
-                 "min_key": key_doc(r.min_key.key),
-                 "merges": [{"label": m.new.label,
-                             "member_labels": [c.label for c in m.constituents]}
-                            for m in r.merges],
-                 "matrix": reference_matrix(r.matrix_after)}
-                for r in trace])
-            text = json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+            text = reference_text(dend, trace, doc)
             assert canonical_json(doc) == text
             assert "".join(structured_chunks(dend, trace, **sections)) == text
+
+
+# Names that need each kind of JSON escape, and some that need none but
+# are not ASCII: a round's merges and labels are formatted by hand.
+ESCAPED_NAMES = ['say "hi"', "back\\slash", "tab\there", "unit\x1fsep", "café",
+                 "line\u2028break", "astral \U0001F600"]
+
+
+@pytest.mark.parametrize("policy", MergePolicy, ids=lambda p: p.value)
+def test_structured_text_escapes_labels(policy):
+    # Three functions per name whose rows are each shared by three names,
+    # so the names stand in merges (the paper policy's three-way ones at
+    # 0), and a fourth whose row is its own, so that leaves of every name
+    # are still active, and in a matrix's labels, after the first round.
+    subjects = ["s0", "s1", "s2", "s3"]
+    uses = [[], ["s0"], ["s1"], ["s0", "s2"], ["s1", "s2"], ["s0", "s1", "s2"], ["s2"]]
+    components = [{"name": name + suffix, "uses_fields": uses[(i + k) % len(uses)]}
+                  for i, name in enumerate(ESCAPED_NAMES)
+                  for k, suffix in enumerate(("", "\t2", "\\3"))]
+    components += [{"name": name + " 4", "uses_fields": uses[i] + ["s3"]}
+                   for i, name in enumerate(ESCAPED_NAMES)]
+    subjects, records = parse_components(json.dumps(
+        {"subject_types": subjects, "components": components}))
+    schema = derive_relations(subjects)
+    pattern = build_pattern_matrix(records, schema)
+    dend, trace = cluster(pattern, Metric.MANHATTAN, policy=policy)
+    assert max(len(m.constituents) for r in trace for m in r.merges) == (
+        3 if policy is MergePolicy.PAPER_REPRO else 2)
+    doc = to_structured(dend, trace, schema=schema, pattern=pattern)
+    text = "".join(structured_chunks(dend, trace, schema=schema, pattern=pattern))
+    assert text == reference_text(dend, trace, doc)
+    assert "\\u001f" in text and "\u2028" in text and "\U0001F600" in text
+
+
+@pytest.mark.parametrize("policy", MergePolicy, ids=lambda p: p.value)
+def test_structured_chunks_share_no_state_with_matrix_after(policy, monkeypatch):
+    subjects, records = parse_components((INPUT_DIR / "syn48.json").read_text())
+    pattern = build_pattern_matrix(records, derive_relations(subjects))
+    dend, trace = cluster(pattern, Metric.EUCLIDEAN, policy=policy)
+    text = "".join(structured_chunks(dend, trace))
+    # A stream suspended halfway through the rounds, while the public
+    # replay goes to the last round and then back to the first.
+    chunks = structured_chunks(dend, trace)
+    middle = '"round": %d,' % (len(trace) // 2 + 1)
+    half = [next(chunks)]
+    while middle not in half[-1]:
+        half.append(next(chunks))
+    half += [next(chunks), next(chunks)]  # its labels and first row of cells
+    assert len(trace[-1].matrix_after.active) == 1
+    assert len(trace[0].matrix_after.active) == pattern.n_rows - sum(
+        len(m.constituents) - 1 for m in trace[0].merges)
+    assert "".join(half) + "".join(chunks) == text
+    # After a whole stream, every matrix is still the one in the text.
+    assert [reference_matrix(r.matrix_after) for r in trace] == [
+        r["matrix"] for r in json.loads(text)["rounds"]]
+
+    # Neither writer reads matrix_after.
+    def refuse(self):
+        raise AssertionError("matrix_after read")
+
+    monkeypatch.setattr(MergeRound, "matrix_after", property(refuse))
+    with pytest.raises(AssertionError, match="matrix_after read"):
+        trace[0].matrix_after
+    assert "".join(structured_chunks(dend, trace)) == text
+    assert canonical_json(to_structured(dend, trace)) == text
 
 
 @st.composite

@@ -324,6 +324,47 @@ def test_snapshots_read_out_of_order_match_in_order_reads():
             assert read(shuffled) == in_order
 
 
+def test_walk_rounds_hands_out_each_rounds_new_rows():
+    # A round's new rows are those of the clusters not active after the
+    # round before it, or all of them where the walk starts again.
+    rng = random.Random(32)
+    for case in range(12):
+        rows = random_rows(rng, n=rng.randint(6, 14), t=rng.randint(2, 5))
+        for policy in MergePolicy:
+            trace = cluster(make_pattern(rows), list(Metric)[case % 4], policy=policy).trace
+            shuffled = list(trace)
+            rng.shuffle(shuffled)
+            for order in (trace, trace[::-1], trace[::2], shuffled):
+                before: set[int] = set()
+                previous = 0
+                for step in engine.walk_rounds(order):
+                    matrix = step.round.matrix_after
+                    if step.round.round_index < previous:
+                        before = set()
+                    fresh = sum(c.id not in before for c in matrix.active)
+                    assert step.active == matrix.active
+                    assert step.new_rows == matrix.keys[len(matrix.keys) - fresh:]
+                    assert step.exact is matrix.exact
+                    before, previous = {c.id for c in step.active}, step.round.round_index
+
+
+def test_walk_rounds_owns_its_rows():
+    trace = cluster(make_pattern(random_rows(random.Random(33), n=12)),
+                    Metric.EUCLIDEAN).trace
+    steps = engine.walk_rounds(trace)
+    step = next(steps)
+    rows = [row.copy() for row in step.new_rows]
+    # The public replay goes to the last round and back to the first.
+    assert len(trace[-1].matrix_after.active) == 1
+    assert trace[0].matrix_after.keys == rows
+    assert step.new_rows == rows
+    assert [next(steps).active for _ in trace[1:]] == [r.matrix_after.active for r in trace[1:]]
+    assert list(engine.walk_rounds(())) == []
+    other = cluster(make_pattern(random_rows(random.Random(34), n=5)), Metric.EUCLIDEAN).trace
+    with pytest.raises(ValidationError, match="one run"):
+        list(engine.walk_rounds(trace[:1] + other[:1]))
+
+
 def test_euclidean_manhattan_identical_traces():
     rng = random.Random(99)
     for _ in range(40):

@@ -14,6 +14,7 @@ zero-distance merges:
     python3 bench/corpus.py --n 48 --dup-rate 0.25 --seed 2 --format components --out syn48.json
     python3 bench/corpus.py --n 32 --dup-rate 0.4 --seed 3 --format decls --out syn32.decls
     python3 bench/corpus.py --n 60 --dup-rate 0.5 --seed 4 --format decls --out syn60.decls
+    python3 bench/corpus.py --n 100 --dup-rate 0.1 --seed 5 --format components --out syn100.json
 
 A change that alters output bytes on purpose regenerates the goldens with
 
@@ -49,6 +50,7 @@ CORPORA = {
     "syn48-manhattan": (INPUT_DIR / "syn48.json", "components", "manhattan", "k:6"),
     "syn32-smc": (INPUT_DIR / "syn32.decls", "decls", "smc", "h:0.2"),
     "syn60-jaccard": (INPUT_DIR / "syn60.decls", "decls", "jaccard", "h:0.5"),
+    "syn100-euclidean": (INPUT_DIR / "syn100.json", "components", "euclidean", "k:10"),
 }
 POLICIES = ("sequential", "paper")
 CASES = [f"{corpus}-{policy}" for corpus in CORPORA for policy in POLICIES]
