@@ -115,7 +115,7 @@ def cut_k(d: Dendrogram, k: int) -> Partition:
     return _as_groups(d, groups)
 
 
-_MAX_DIGITS = 4300  # CPython's default limit on the digits of an int string
+_DIGIT_LIMIT = 4300  # CPython's default limit on the digits of an int string
 
 
 def _parse_height(h, error=ValidationError) -> Fraction:
@@ -126,15 +126,15 @@ def _parse_height(h, error=ValidationError) -> Fraction:
     a run's summary can print them.  NaN and infinities are refused."""
     text, decimal = isinstance(h, str), isinstance(h, Decimal)
     try:
-        if text and "e" in h.lower() and abs(int(h.lower().rpartition("e")[2])) > _MAX_DIGITS:
+        if text and "e" in h.lower() and abs(int(h.lower().rpartition("e")[2])) > _DIGIT_LIMIT:
             raise ValueError
         if decimal:
             _, digits, exponent = h.as_tuple()
-            if not h.is_finite() or max(len(digits), abs(exponent)) > _MAX_DIGITS:
+            if not h.is_finite() or max(len(digits), abs(exponent)) > _DIGIT_LIMIT:
                 raise ValueError
         threshold = Fraction(h)
         if (text or decimal) and max(threshold.numerator,
-                                     threshold.denominator) >= 10 ** _MAX_DIGITS:
+                                     threshold.denominator) >= 10 ** _DIGIT_LIMIT:
             raise ValueError
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise error(f"invalid cut height {h!r}") from None
@@ -372,7 +372,7 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
         doc["pattern_matrix"] = {
             "row_labels": list(pattern.row_labels),
             "col_labels": list(pattern.col_labels),
-            "rows": [list(row) for row in pattern.rows],
+            "rows": [[row >> c & 1 for c in range(pattern.n_cols)] for row in pattern.rows],
         }
     doc["rounds"] = [
         dict(_round_doc(step.round), matrix={

@@ -166,23 +166,16 @@ def _row_classes(pattern: PatternMatrix) -> list[list[int]]:
     """Leaf ids grouped by identical pattern row, in order of first
     appearance: each class is ascending, and the classes are ordered by
     their smallest member."""
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[int, list[int]] = {}
     for i, row in enumerate(pattern.rows):
         classes.setdefault(row, []).append(i)
     return list(classes.values())
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _packed(rows) -> list[int]:
-    """Each pattern row as an int whose set bits are its set columns."""
-    return [int(bytes(row).translate(_DIGITS) or b"0", 2) for row in rows]
-
-
-def _row_ints(metric: Metric, width: int, a: int, rows: list[int]) -> list[int]:
-    """The distance of packed row ``a`` to each packed row of ``rows``, as
-    an int that orders and ties exactly like the metric's key."""
+def _row_ints(metric: Metric, width: int, a: int, rows: Sequence[int]) -> list[int]:
+    """The distance of pattern row ``a`` to each pattern row of ``rows``, as
+    an int that orders and ties exactly like the metric's key.  Only the
+    bit counts of ``a ^ b`` and ``a | b`` are read, so bit order is free."""
     if metric is not Metric.JACCARD:
         # The Euclidean (squared), Manhattan and SMC keys are the mismatch
         # count or a fixed multiple of it.
@@ -197,15 +190,15 @@ def _row_ints(metric: Metric, width: int, a: int, rows: list[int]) -> list[int]:
 def _pair_ints(pattern: PatternMatrix, metric: Metric,
                classes: list[list[int]]) -> dict[int, array]:
     """``_row_ints`` of each pair of distinct pattern rows, bucketed by int:
-    a pair of classes p < q is stored once, packed as ``p * len(classes) + q``.
+    a pair of classes p < q is stored once, as ``p * len(classes) + q``.
 
-    ``classes`` is ``_row_classes(pattern)``: each distinct row is packed
+    ``classes`` is ``_row_classes(pattern)``: each distinct row is read
     once, and only the upper triangle of the class pairs is computed."""
-    packed = _packed(pattern.rows[ids[0]] for ids in classes)
-    count = len(packed)
+    rows = [pattern.rows[ids[0]] for ids in classes]
+    count = len(rows)
     buckets: dict[int, array] = defaultdict(lambda: array("I"))
-    for p, a in enumerate(packed):
-        keys = _row_ints(metric, pattern.n_cols, a, packed[p + 1:])
+    for p, a in enumerate(rows):
+        keys = _row_ints(metric, pattern.n_cols, a, rows[p + 1:])
         for pq, key in enumerate(keys, p * count + p + 1):
             buckets[key].append(pq)
     return buckets
@@ -215,8 +208,8 @@ def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
     """The int distance between every two pattern rows, as a lower
     triangle: row p is ``_row_ints`` of row p against rows 0..p-1, copies
     included, each row a list of its own."""
-    packed = _packed(pattern.rows)
-    return [_row_ints(metric, pattern.n_cols, a, packed[:p]) for p, a in enumerate(packed)]
+    rows = pattern.rows
+    return [_row_ints(metric, pattern.n_cols, a, rows[:p]) for p, a in enumerate(rows)]
 
 
 class _ExactKeys(dict):

@@ -6,9 +6,10 @@ it touches.  A *relation schema* turns an ordered list of subject (struct)
 types into binary predicates: for each subject T there is one RETURNS T,
 one HAS_ARG T, and one USES_FIELD T column.  The *pattern matrix* is the
 0/1 matrix of every predicate against every component, which the cluster
-engine consumes.  It is built without testing each cell: a row starts as
-zeros and each of the component's facts sets its columns, looked up by
-(kind, subject), so the Python work is O(rows + set bits).
+engine consumes.  Each row is stored as one int whose bit c is column c.
+It is built without testing each cell: each of the component's facts ORs
+in one mask of its columns, looked up by (kind, subject), so the Python
+work is O(rows + facts).
 """
 
 from __future__ import annotations
@@ -95,11 +96,13 @@ def derive_relations(subject_types: Sequence[str]) -> RelationSchema:
 
 
 class PatternMatrix(NamedTuple):
-    """Binary matrix: rows are components, columns are relations."""
+    """Binary matrix: rows are components, columns are relations.  Each row
+    is an int whose bit c is set when column c holds (``row >> c & 1``);
+    no bit at or past ``n_cols`` is set."""
 
     row_labels: tuple[str, ...]
     schema: RelationSchema
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     @property
     def col_labels(self) -> tuple[str, ...]:
@@ -118,9 +121,10 @@ def build_pattern_matrix(records: Iterable[ComponentRecord],
                          schema: RelationSchema) -> PatternMatrix:
     """Evaluate every relation against every record.
 
-    Each row starts as zeros and gets only the record's own bits, found
-    through a (kind, subject) -> column indexes dict, so the work is
-    O(rows + set bits) Python steps plus one C-level fill per row.
+    Each row is the OR of one mask per fact of the record, looked up in a
+    (kind, subject) -> columns mask dict, so the work is O(rows + facts)
+    Python steps and no cell is stored on its own.  A hand-built schema
+    that repeats a (kind, subject) column sets the bit of each copy.
 
     Raises ValidationError for an empty record list, duplicate component
     names, or a uses_fields entry naming a type the schema does not declare.
@@ -139,18 +143,15 @@ def build_pattern_matrix(records: Iterable[ComponentRecord],
             raise ValidationError(
                 f"component {record.name!r} uses fields of undeclared subject "
                 f"type(s): {', '.join(unknown)}")
-    columns: dict[tuple[RelationKind, str], list[int]] = {}
-    for c, relation in enumerate(schema.relations):
-        columns.setdefault((relation.kind, relation.subject), []).append(c)
-    width = len(schema.relations)
+    masks: dict[tuple[RelationKind, str], int] = {}
+    for c, (kind, subject, _) in enumerate(schema.relations):
+        masks[kind, subject] = masks.get((kind, subject), 0) | 1 << c
     rows = []
     for record in records:
-        row = [0] * width
-        facts = [(RelationKind.RETURNS, record.returns)]
-        facts += [(RelationKind.HAS_ARG, arg) for arg in record.args]
-        facts += [(RelationKind.USES_FIELD, subject) for subject in record.uses_fields]
-        for fact in facts:
-            for c in columns.get(fact, ()):
-                row[c] = 1
-        rows.append(tuple(row))
+        row = masks.get((RelationKind.RETURNS, record.returns), 0)
+        for arg in record.args:
+            row |= masks.get((RelationKind.HAS_ARG, arg), 0)
+        for subject in record.uses_fields:
+            row |= masks.get((RelationKind.USES_FIELD, subject), 0)
+        rows.append(row)
     return PatternMatrix(tuple(r.name for r in records), schema, tuple(rows))

@@ -70,32 +70,38 @@ def label_clusters(partition: Sequence, pattern: PatternMatrix,
 
     The partition must cover every pattern row exactly once; groups may be
     PartitionGroup objects (from the dendrogram cuts) or plain name
-    sequences, which get positional G1, G2, ... labels.  Each group's column
-    sums go to their subjects in one pass over ``schema.relations``.
+    sequences, which get positional G1, G2, ... labels.  ``schema`` must be
+    the pattern's own.  Each member's set bits are counted into their
+    columns' subjects, in O(set bits); a column of a type that is not one
+    of ``schema.subject_types`` counts for none.
     """
+    if schema != pattern.schema:
+        raise ValidationError("the schema is not the one the pattern was built from")
     groups = _normalize(partition)
     covered = [name for _, members in groups for name in members]
     if sorted(covered) != sorted(pattern.row_labels):
         raise ValidationError(
             "partition does not cover the pattern rows exactly once")
-    column_subjects = [r.subject for r in schema.relations]
+    subjects = schema.subject_types
+    index = {subject: s for s, subject in enumerate(subjects)}
+    # Column c counts in slot[c]; a spare last slot takes the columns of
+    # non-subject types.
+    slot = [index.get(r.subject, len(subjects)) for r in schema.relations]
     row_of = dict(zip(pattern.row_labels, pattern.rows))
     entries = []
     for label, members in groups:
-        counts = dict.fromkeys(schema.subject_types, 0)
-        sums = map(sum, zip(*(row_of[name] for name in members)))
-        for subject, bits in zip(column_subjects, sums):
-            counts[subject] += bits
-        total = sum(counts.values())
-        best = max(counts.values())
-        tied = tuple(t for t in schema.subject_types if counts[t] == best)
-        if total == 0 or len(tied) > 1:
-            dominant = None
-            affinity = Fraction(0) if total == 0 else Fraction(best, total)
-        else:
-            dominant = tied[0]
-            affinity = Fraction(best, total)
-        entries.append(ClusterAttribution(
-            label, tuple(members), dominant,
-            tied if dominant is None else (), affinity))
+        tally = [0] * (len(subjects) + 1)
+        for name in members:
+            row = row_of[name]
+            while row:
+                low = row & -row
+                tally[slot[low.bit_length() - 1]] += 1
+                row ^= low
+        counts = tally[:-1]
+        total, best = sum(counts), max(counts)
+        tied = tuple(t for t, count in zip(subjects, counts) if count == best)
+        dominant = tied[0] if total and len(tied) == 1 else None
+        affinity = Fraction(best, total) if total else Fraction(0)
+        entries.append(ClusterAttribution(label, tuple(members), dominant,
+                                          tied if dominant is None else (), affinity))
     return CandidateObjectReport(tuple(entries))

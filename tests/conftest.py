@@ -41,6 +41,12 @@ STACK_QUEUE_GOLD_ROWS = {
 }
 
 
+def bit_rows(pattern: PatternMatrix) -> tuple[tuple[int, ...], ...]:
+    """The pattern's rows as tuples of 0/1 cells, column 0 first: the form
+    the gold rows and the brute-force oracle use."""
+    return tuple(tuple(row >> c & 1 for c in range(pattern.n_cols)) for row in pattern.rows)
+
+
 @dataclass(frozen=True)
 class Corpus:
     subjects: tuple[str, ...]

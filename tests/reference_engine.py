@@ -27,19 +27,15 @@ class RefMerge(NamedTuple):
 
 
 def _row_classes(pattern: PatternMatrix) -> list[list[int]]:
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[int, list[int]] = {}
     for i, row in enumerate(pattern.rows):
         classes.setdefault(row, []).append(i)
     return list(classes.values())
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def _pair_ints(pattern: PatternMatrix, metric: Metric,
                classes: list[list[int]]) -> list[list[int]]:
-    packed = [int(bytes(pattern.rows[ids[0]]).translate(_DIGITS) or b"0", 2)
-              for ids in classes]
+    packed = [pattern.rows[ids[0]] for ids in classes]
     if metric is not Metric.JACCARD:
         table = [[(a ^ b).bit_count() for b in packed] for a in packed]
     else:

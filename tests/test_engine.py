@@ -25,6 +25,7 @@ from objident.features import (
 )
 
 import oracle
+from conftest import bit_rows
 
 METRIC_NAMES = {
     Metric.EUCLIDEAN: "euclidean",
@@ -51,7 +52,7 @@ def make_pattern(rows, labels=None):
         for label, row in zip(labels, rows)
     ]
     pattern = build_pattern_matrix(records, schema)
-    assert pattern.rows == tuple(tuple(row) for row in rows)
+    assert bit_rows(pattern) == tuple(tuple(row) for row in rows)
     return pattern
 
 
@@ -160,7 +161,7 @@ def test_sequential_matches_brute_force_oracle(stacks):
     dend, trace = cluster(stacks.pattern, Metric.EUCLIDEAN,
                           policy=MergePolicy.SEQUENTIAL)
     assert len(trace) == 9
-    steps = oracle.single_linkage_steps(list(stacks.pattern.rows), "euclidean")
+    steps = oracle.single_linkage_steps(list(bit_rows(stacks.pattern)), "euclidean")
     assert len(steps) == 9
     for merge_round, (key, pair_ids, members) in zip(trace, steps):
         merge = merge_round.merges[0]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from objident import (
 )
 from objident.features import Relation, RelationKind, RelationSchema
 
-from conftest import STACK_QUEUE_GOLD_ROWS, STACKS_GOLD_ROWS
+from conftest import STACK_QUEUE_GOLD_ROWS, STACKS_GOLD_ROWS, bit_rows
 
 
 def test_derive_relations_two_stacks_layout():
@@ -65,11 +66,11 @@ def test_relation_count_scales_with_subjects():
 
 
 def test_pattern_row_init_ref(stacks):
-    assert stacks.pattern.rows[stacks.pattern.row_labels.index("initRef")] == (0, 1, 0, 0, 0, 1)
+    assert bit_rows(stacks.pattern)[stacks.pattern.row_labels.index("initRef")] == (0, 1, 0, 0, 0, 1)
 
 
 def test_pattern_row_tra_exec(stacks):
-    assert stacks.pattern.rows[stacks.pattern.row_labels.index("traExec")] == (1, 0, 1, 0, 1, 0)
+    assert bit_rows(stacks.pattern)[stacks.pattern.row_labels.index("traExec")] == (1, 0, 1, 0, 1, 0)
 
 
 def test_pattern_row_all_zero_without_relations():
@@ -79,17 +80,17 @@ def test_pattern_row_all_zero_without_relations():
         ComponentRecord("user", returns="stack"),
     ]
     pattern = build_pattern_matrix(records, schema)
-    assert pattern.rows[0] == (0, 0, 0)
+    assert pattern.rows == (0, 0b001)  # "user" sets only R0, returns stack
 
 
 def test_stacks_pattern_matches_golden(stacks):
     assert stacks.pattern.row_labels == tuple(STACKS_GOLD_ROWS)
-    assert stacks.pattern.rows == tuple(STACKS_GOLD_ROWS.values())
+    assert bit_rows(stacks.pattern) == tuple(STACKS_GOLD_ROWS.values())
 
 
 def test_stack_queue_pattern_matches_golden(stack_queue):
     assert stack_queue.pattern.row_labels == tuple(STACK_QUEUE_GOLD_ROWS)
-    assert stack_queue.pattern.rows == tuple(STACK_QUEUE_GOLD_ROWS.values())
+    assert bit_rows(stack_queue.pattern) == tuple(STACK_QUEUE_GOLD_ROWS.values())
 
 
 def holds(record, relation):
@@ -101,13 +102,15 @@ def holds(record, relation):
     return relation.subject in record.uses_fields
 
 
-def test_returns_block_has_at_most_one_bit():
-    rng = random.Random(7)
-    subjects = ["a", "b", "c"]
-    schema = derive_relations(subjects)
-    # A hand-built schema may repeat a (kind, subject) column, or name a
-    # non-subject type; every such column gets the bit its predicate holds.
-    repeated = RelationSchema(tuple(subjects), (
+SUBJECTS = ("a", "b", "c")
+
+
+def repeated_schema():
+    """A hand-built schema that is not kind-major: it repeats (kind, subject)
+    columns, so one subject's columns are not adjacent, and names the
+    non-subject type ``int``."""
+    schema = derive_relations(SUBJECTS)
+    return RelationSchema(SUBJECTS, (
         Relation(RelationKind.HAS_ARG, "b", "X0"),
         *schema.relations[:4],
         Relation(RelationKind.RETURNS, "a", "X1"),
@@ -116,19 +119,53 @@ def test_returns_block_has_at_most_one_bit():
         *schema.relations[4:],
         Relation(RelationKind.USES_FIELD, "c", "X4"),
     ))
+
+
+def random_records(rng, n):
+    """``n`` components over ``SUBJECTS``, with ``int`` returns and args."""
     records = []
-    for case in range(50):
-        returns = rng.choice([None, "int", *subjects])
-        args = tuple(rng.choice(["int", *subjects]) for _ in range(rng.randrange(4)))
-        uses = frozenset(s for s in subjects if rng.random() < 0.5)
+    for case in range(n):
+        returns = rng.choice([None, "int", *SUBJECTS])
+        args = tuple(rng.choice(["int", *SUBJECTS]) for _ in range(rng.randrange(4)))
+        uses = frozenset(s for s in SUBJECTS if rng.random() < 0.5)
         records.append(ComponentRecord(f"f{case}", returns, args, uses))
-    for each in (schema, repeated):
+    return records
+
+
+def test_returns_block_has_at_most_one_bit():
+    schema = derive_relations(SUBJECTS)
+    records = random_records(random.Random(7), 50)
+    # Boundary rows: only column 0 (returns a), only column W-1 (uses c).
+    records += [ComponentRecord("first", "a"), ComponentRecord("last", uses_fields={"c"})]
+    # Every column gets the bit its predicate holds, also a repeated one or
+    # one of a non-subject type, and no bit is set past the last column.
+    for each in (schema, repeated_schema()):
         rows = build_pattern_matrix(records, each).rows
-        assert rows == tuple(tuple(int(holds(record, relation)) for relation in each.relations)
+        assert rows == tuple(sum(holds(record, relation) << c
+                                 for c, relation in enumerate(each.relations))
                              for record in records)
     rows = build_pattern_matrix(records, schema).rows
-    assert all(sum(row[:len(subjects)]) <= 1 for row in rows)
-    assert any(sum(row[:len(subjects)]) == 1 for row in rows)
+    assert rows[-2:] == (1, 1 << len(schema.relations) - 1)
+    returns_block = (1 << len(SUBJECTS)) - 1
+    assert all((row & returns_block).bit_count() <= 1 for row in rows)
+    assert any((row & returns_block).bit_count() == 1 for row in rows[:-2])
+
+
+def test_pattern_holds_no_per_cell_form():
+    # 2,000 rows of 600 columns as tuples of cells would take ~10 MB.
+    rng = random.Random(5)
+    subjects = [f"t{i}" for i in range(200)]
+    records = [ComponentRecord(f"f{i}", rng.choice([None, *subjects]), rng.sample(subjects, 2),
+                               rng.sample(subjects, 3)) for i in range(2000)]
+    schema = derive_relations(subjects)
+    tracemalloc.start()
+    try:
+        pattern = build_pattern_matrix(records, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pattern.n_rows, pattern.n_cols) == (2000, 600)
+    assert peak < 2 * 1024 * 1024
 
 
 def test_rebuild_is_deterministic(stacks):

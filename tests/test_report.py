@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,16 @@ from objident import (
     MergePolicy,
     Metric,
     ValidationError,
+    build_pattern_matrix,
     cluster,
     cut_k,
+    derive_relations,
     label_clusters,
 )
 
+from conftest import bit_rows
 from test_engine import make_pattern
+from test_features import SUBJECTS, random_records, repeated_schema
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +44,49 @@ def test_affinity_counts_eleven_refstack_bits(stacks, stacks_partition):
     report = label_clusters(stacks_partition, stacks.pattern, stacks.schema)
     ref = report.entries[0]
     row_of = dict(zip(stacks.pattern.row_labels, stacks.pattern.rows))
-    total_bits = sum(sum(row_of[name]) for name in ref.members)
+    total_bits = sum(row_of[name].bit_count() for name in ref.members)
     assert total_bits == 11
     assert ref.affinity == Fraction(11, 11)
+
+
+@pytest.mark.parametrize("subjects", [("refstack", "execstack"), ("refstack",)])
+def test_schema_must_be_the_patterns_own(stacks, stacks_partition, subjects):
+    # The reversed schema would otherwise label the refstack cluster
+    # execstack, and a shorter one has no subject for the last columns.
+    with pytest.raises(ValidationError, match="schema"):
+        label_clusters(stacks_partition, stacks.pattern, derive_relations(subjects))
+
+
+def reference_entries(partition, pattern, schema):
+    """Each group's (label, members, dominant, tied, affinity), from subject
+    counts summed cell by cell over the 0/1 rows."""
+    cells = dict(zip(pattern.row_labels, bit_rows(pattern)))
+    entries = []
+    for index, members in enumerate(partition):
+        counts = dict.fromkeys(schema.subject_types, 0)
+        for name in members:
+            for c, relation in enumerate(schema.relations):
+                if relation.subject in counts:
+                    counts[relation.subject] += cells[name][c]
+        total, best = sum(counts.values()), max(counts.values())
+        tied = tuple(s for s in schema.subject_types if counts[s] == best)
+        dominant = tied[0] if total and len(tied) == 1 else None
+        entries.append((f"G{index + 1}", tuple(members), dominant,
+                        () if dominant else tied, Fraction(best, total or 1)))
+    return entries
+
+
+def test_counts_match_per_column_reference():
+    rng = random.Random(21)
+    for case in range(40):
+        schema = repeated_schema() if case % 2 else derive_relations(SUBJECTS)
+        pattern = build_pattern_matrix(random_records(rng, rng.randrange(1, 30)), schema)
+        names = list(pattern.row_labels)
+        rng.shuffle(names)
+        cuts = sorted(rng.sample(range(1, len(names)), rng.randrange(len(names))))
+        partition = [names[a:b] for a, b in zip([0, *cuts], [*cuts, len(names)])]
+        report = label_clusters(partition, pattern, schema)
+        assert list(report.entries) == reference_entries(partition, pattern, schema)
 
 
 def test_all_zero_singleton_is_ambiguous():
