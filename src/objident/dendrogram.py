@@ -284,39 +284,6 @@ def _key_text(key: Fraction, depth: int) -> str:
     return _dict_text((("num", str(key.numerator)), ("den", str(key.denominator))), depth)
 
 
-def _cell_rows(trace: Sequence["MergeRound"], display, key):
-    """For each round of ``trace``: its step of ``engine.walk_rounds``, and
-    the rows of ``display`` and of ``key`` of each cell's
-    ``ExactDissimilarity`` in its matrix, a row per active cluster.
-
-    The rows follow the merges: the clusters that survive a round keep
-    their order, and every new cluster has a larger id than any of them, so
-    a gone cluster's row and column are deleted and a new cluster's row is
-    appended, its cells looked up once, in a memo per int of each kind.
-    The walk hands out only the new clusters' rows.  The rows change in
-    place at the next round."""
-    from .engine import walk_rounds  # the engine imports this module
-
-    ids: list[int] = []
-    display_rows: list[list] = []
-    key_rows: list[list] = []
-    for step in walk_rounds(trace):
-        if not ids:  # the first round
-            display_of = _Memo(lambda k, exact=step.exact: display(exact[k]))
-            key_of = _Memo(lambda k, exact=step.exact: key(exact[k]))
-        kept = {c.id for c in step.active[:len(step.active) - len(step.new_rows)]}
-        for p in reversed([p for p, i in enumerate(ids) if i not in kept]):
-            for rows in (display_rows, key_rows):
-                del rows[p]
-                for later in rows[p:]:
-                    del later[p]
-        for keys in step.new_rows:
-            display_rows.append(list(map(display_of.__getitem__, keys)))
-            key_rows.append(list(map(key_of.__getitem__, keys)))
-        ids = [c.id for c in step.active]
-        yield step, display_rows, key_rows
-
-
 def _matrix_text(labels: str, display_rows: list[list[str]],
                  key_rows: list[list[str]]) -> Iterator[str]:
     """The text of a round's ``matrix`` in ``to_structured``, a chunk
@@ -351,14 +318,16 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     yields, which is what the command line writes, but it renders every
     cell's ``{num, den}`` on its own, so ``structured_chunks`` is the fast
     way to that text.  Like ``structured_chunks``, it reads the snapshots
-    from a walk of its own, ``engine.walk_rounds``, which hands out only
-    the new clusters' rows, never from ``MergeRound.matrix_after``: rows
-    of cells follow the merges and each round gets a copy of them, so a
-    sequential run's O(n^3) cells take O(n^2) lookups.  One memo per int
-    gives its display string, another its ``{num, den}`` dict, so all
+    from a walk of its own, ``engine.walk_rounds``, never from
+    ``MergeRound.matrix_after``: the walk's two tables, of each cell's
+    display string and of its ``{num, den}`` dict, follow the merges and
+    each round gets a copy of them, so a sequential run's O(n^3) cells
+    take O(n^2) lookups.  Each is made once per distinct distance, so all
     cells at the same distance share one dict object.  The nested
     ``dendrogram`` is built without recursion, for trees of any depth.
     """
+    from .engine import walk_rounds  # the engine imports this module
+
     doc: dict = {}
     if schema is not None:
         doc["schema"] = {
@@ -375,11 +344,11 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "rows": [[row >> c & 1 for c in range(pattern.n_cols)] for row in pattern.rows],
         }
     doc["rounds"] = [
-        dict(_round_doc(step.round), matrix={
-            "labels": [c.label for c in step.active],
+        dict(_round_doc(r), matrix={
+            "labels": [c.label for c in active],
             "display_values": list(map(list.copy, display_rows[1:])),
             "exact_keys": list(map(list.copy, key_rows[1:]))})
-        for step, display_rows, key_rows in _cell_rows(
+        for r, active, (display_rows, key_rows) in walk_rounds(
             trace, lambda e: e.display, lambda e: _key_doc(e.key))]
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
@@ -390,16 +359,17 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
 def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
     """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells.
 
-    The rows of cell texts are ``_cell_rows``'s, from ``engine.walk_rounds``,
-    which hands out only the new clusters' rows: one memo per int gives
-    display texts, another ``{num, den}`` texts.  Each round's head and
-    ``labels`` are formatted from the text of each label, made once by
-    json's string encoder."""
+    The rows of cell texts are the two tables of ``engine.walk_rounds``,
+    whose views give each distinct distance its display text and its
+    ``{num, den}`` text once.  Each round's head and ``labels`` are
+    formatted from the text of each label, made once by json's string
+    encoder."""
+    from .engine import walk_rounds  # the engine imports this module
+
     label = _Memo(encode_basestring)
-    rounds = _cell_rows(trace, lambda e: encode_basestring(e.display),
-                        lambda e: _key_text(e.key, 6))
-    for index, (step, display_rows, key_rows) in enumerate(rounds):
-        r = step.round
+    rounds = walk_rounds(trace, lambda e: encode_basestring(e.display),
+                         lambda e: _key_text(e.key, 6))
+    for index, (r, active, (display_rows, key_rows)) in enumerate(rounds):
         merges = [_dict_text((("label", label[m.new.label]),
                               ("member_labels", _list_text(
                                   [label[c.label] for c in m.constituents], 5))), 4)
@@ -411,7 +381,7 @@ def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
                            ("merges", _list_text(merges, 3)),
                            ("matrix", "")), 2)
         yield ("," if index else "[") + _INDENT[2] + head[:-len(_INDENT[2]) - 1]
-        yield from _matrix_text(_list_text([label[c.label] for c in step.active], 4),
+        yield from _matrix_text(_list_text([label[c.label] for c in active], 4),
                                 display_rows, key_rows)
         yield _INDENT[2] + "}"
     yield _INDENT[1] + "]"
@@ -428,14 +398,13 @@ def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
     built as a document: its head and ``labels`` are formatted from texts
     of json's string encoder, one per label, and each row of
     ``display_values`` and of ``exact_keys`` is one join of cell texts,
-    made once per distinct int, and is one chunk.  The snapshots come from
-    a walk of the engine's own, ``walk_rounds``, which hands out only the
-    new clusters' rows, never from ``MergeRound.matrix_after``: a
-    cluster's row of cell texts is looked up once, in the first round it
-    is active in, and then follows the merges, so a sequential run's
-    O(n^3) snapshots cost O(n^2) lookups and O(n^3) joins.  They are
-    rendered a row at a time and never held whole; the rows of cell texts
-    take two pointers per cell of the current round's matrix.
+    made once per distinct distance, and is one chunk.  The snapshots come
+    from the tables of cell texts of the engine's ``walk_rounds``, never
+    from ``MergeRound.matrix_after``: a cluster's rows of cell texts are
+    looked up once, when it is new, and then follow the merges, so a
+    sequential run's O(n^3) snapshots cost O(n^2) lookups and O(n^3)
+    joins.  They are rendered a row at a time and never held whole; the
+    tables take two pointers per cell of the current round's matrix.
     """
     from .ingest import json_chunks  # ingest imports this module
 

@@ -27,10 +27,13 @@ re-derived from the merge list by a forward walk that applies the merges,
 by the single-linkage row minimum, in place to a lower triangle of the leaf
 distances that it owns, whose rows are the matrix's ``keys``: a round only
 deletes its merged clusters' rows and columns and appends a row per new
-cluster.  ``walk_rounds`` hands out each round's new rows and copies
-nothing; ``MergeRound.matrix_after`` copies every row, from a walk of its
-own.  Reading rounds in order costs O(active^2) each; an earlier round
-starts the walk again from the leaves.
+cluster.  Next to it the walk keeps one lower triangle per *view*, a
+function of an ``ExactDissimilarity`` called once per distinct int of the
+run, and moves every triangle through the same deletions and appends.
+``walk_rounds`` hands out the view triangles and copies nothing;
+``MergeRound.matrix_after`` copies the int rows, from a walk of its own
+with no views.  Reading rounds in order costs O(active^2) each; an
+earlier round starts the walk again from the leaves.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from heapq import heappop, heapreplace
 from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .dendrogram import DendroNode, Dendrogram
+from .dendrogram import DendroNode, Dendrogram, _Memo
 from .errors import ConfigError, ValidationError
 from .features import PatternMatrix
 from .metrics import ExactDissimilarity, Metric, distance
@@ -117,44 +120,44 @@ class MergeRound(NamedTuple("MergeRound", [
     def matrix_after(self) -> ProximityMatrix:
         """The proximity matrix after this round's merges, rebuilt on every
         access by the run's replay: its int ``keys`` are a copy of the rows
-        of the replay's own walk, made in O(active^2) time when rounds are
-        read in order (an earlier round starts the walk again), its
-        ``cells`` dict only when read.  Hold on to the result to read it
-        twice.  This is the library's reader: ``dendrogram.to_structured``
-        and ``structured_chunks`` never call it, and read instead, through
-        a ``walk_rounds`` of their own, only the new clusters' rows."""
+        of the replay's own walk, which has no views, made in O(active^2)
+        time when rounds are read in order (an earlier round starts the
+        walk again), its ``cells`` dict only when read.  Hold on to the
+        result to read it twice.  This is the library's reader:
+        ``dendrogram.to_structured`` and ``structured_chunks`` never call
+        it, and read instead the tables of a ``walk_rounds`` of their own."""
         return self._replay.matrix_after(self.round_index)
 
 
 class RoundRows(NamedTuple):
     """One step of ``walk_rounds``: a round, the clusters active after it
-    (ascending by id) and the ``ProximityMatrix.keys`` rows of the new ones,
-    the last ``len(new_rows)`` of ``active``; ``exact`` maps each int to its
-    ``ExactDissimilarity``.  The rows are the walk's own: they change when
+    (ascending by id) and one lower triangle per view, whose row p holds
+    the view of each ``ExactDissimilarity`` between ``active[p]`` and the
+    clusters before it.  The tables are the walk's own: they change when
     it moves on."""
 
     round: MergeRound
     active: tuple[DendroNode, ...]
-    new_rows: list[list[int]]
-    exact: Mapping[int, ExactDissimilarity]
+    tables: tuple[list[list], ...]
 
 
-def walk_rounds(trace: Sequence[MergeRound]) -> Iterator[RoundRows]:
+def walk_rounds(trace: Sequence[MergeRound], *views) -> Iterator[RoundRows]:
     """Each round of ``trace``, rounds of one run, with its active clusters
-    and new rows, from one walk over the merge list that applies the
-    merges in place to a lower triangle of its own: no matrix is copied,
-    and nothing is shared with ``matrix_after``.  A cluster is new
-    if it was not active after the round before it in ``trace``; all are
-    new at the first round and at one earlier than the round before it,
-    where the walk starts again from the leaves."""
+    and a table per view of ``views``, functions of an
+    ``ExactDissimilarity``, from one walk over the merge list that applies
+    the merges in place to the lower triangles of its own: no table is
+    copied, and nothing is shared with ``matrix_after``.  Each view is
+    called once per distinct distance of the run, whatever the order of
+    ``trace``: the walk keeps its results, also when it starts again from
+    the leaves, at a round earlier than the one before it."""
     if trace:
         replay = trace[0]._replay
-        table = _Triangle(replay)
+        table = _Triangle(replay, *views)
         for r in trace:
             if r._replay is not replay:
                 raise ValidationError("the rounds of a trace must come from one run")
-            kept = table.move_to(r.round_index)
-            yield RoundRows(r, table.nodes(), table.rows[kept:], replay.exact)
+            table.move_to(r.round_index)
+            yield RoundRows(r, table.nodes(), table.tables)
 
 
 class ClusterResult(NamedTuple):
@@ -242,6 +245,8 @@ class _Replay:
     reads."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
+        if not isinstance(metric, Metric):
+            raise ValidationError(f"metric must be a Metric, not {metric!r}")
         if pattern.n_rows < 2:
             raise ValidationError("clustering needs at least 2 pattern rows")
         self.pattern, self.metric = pattern, metric
@@ -270,36 +275,39 @@ class _Replay:
 class _Triangle:
     """The int distances between the clusters active after a round of a
     replay, as a lower triangle: ``rows[p][q]``, q < p, is the distance
-    between the clusters of ids ``active[p]`` and ``active[q]``.  Built
-    from the leaves on the first move, it then only moves forward, in
-    place; ``applied`` counts the clusters it holds or has merged away."""
+    between the clusters of ids ``active[p]`` and ``active[q]``; and in
+    ``tables``, one triangle per view with the view of each of them, made
+    once per int by a memo kept across moves.  Built from the leaves on
+    the first move, it then only moves forward, in place; ``applied``
+    counts the clusters it holds or has merged away."""
 
-    def __init__(self, replay: _Replay):
+    def __init__(self, replay: _Replay, *views):
         self.replay = replay
         self.rows: list[list[int]] = []
+        self.memos = [_Memo(lambda k, view=view: view(replay.exact[k])) for view in views]
+        self.tables = tuple([] for _ in views)
         self.active: list[int] = []
         self.applied = 0
 
     def nodes(self) -> tuple[DendroNode, ...]:
         return tuple(map(self.replay.clusters.__getitem__, self.active))
 
-    def move_to(self, round_index: int) -> int:
+    def move_to(self, round_index: int) -> None:
         """Apply the merges of the rounds up to ``round_index`` (0: none),
-        starting again from the leaves if it is past that round; return how
-        many rows, from the first, are of clusters it held before the move."""
+        starting again from the leaves if it is past that round."""
         replay, clusters = self.replay, self.replay.clusters
-        before = self.applied
-        if not before or (clusters[before - 1].round_index or 0) > round_index:
+        if not self.applied or (clusters[self.applied - 1].round_index or 0) > round_index:
             self.rows = _leaf_table(replay.pattern, replay.metric)
+            for table, memo in zip(self.tables, self.memos):
+                table[:] = [list(map(memo.__getitem__, row)) for row in self.rows]
             self.active = list(range(replay.pattern.n_rows))
-            self.applied, before = replay.pattern.n_rows, 0
+            self.applied = replay.pattern.n_rows
         while self.applied < len(clusters) and clusters[self.applied].round_index <= round_index:
             self._merge(clusters[self.applied])
-        return bisect_left(self.active, before)
 
     def _merge(self, node: DendroNode) -> None:
         """Replace the rows and columns of ``node``'s children by one last
-        row, their minimum: ``node`` has the largest id yet."""
+        row, their minimum, in every table: ``node`` has the largest id yet."""
         rows, active = self.rows, self.active
         at = [bisect_left(active, g) for g in node.children]
         # Each child's distances to every position, 0 at its own.
@@ -308,10 +316,14 @@ class _Triangle:
         # From the last position down, so that each one still holds: the
         # rows after it are the ones with a column there.
         for p in reversed(at):
-            del row[p], rows[p], active[p]
-            for later in rows[p:]:
-                del later[p]
+            del row[p], active[p]
+            for table in (rows, *self.tables):
+                del table[p]
+                for later in table[p:]:
+                    del later[p]
         rows.append(row)
+        for table, memo in zip(self.tables, self.memos):
+            table.append(list(map(memo.__getitem__, row)))
         active.append(node.id)
         self.applied += 1
 
@@ -339,9 +351,13 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     round's ``matrix_after`` when it is read, from a lower triangle over
     the active clusters alone, so reading every round's matrix of a
     sequential run costs O(n^3) in time and O(n^2) in memory;
-    ``walk_rounds`` hands out only each round's new rows.
+    ``walk_rounds`` hands out each round's tables of its views of the
+    distances without copying them.  A ``metric`` or ``policy`` that is not
+    a ``Metric`` or ``MergePolicy`` (a name, say) is refused.
     """
     replay = _Replay(pattern, metric)
+    if not isinstance(policy, MergePolicy):
+        raise ValidationError(f"policy must be a MergePolicy, not {policy!r}")
     clusters, n = replay.clusters, pattern.n_rows
     trace: list[MergeRound] = []
 

@@ -96,8 +96,11 @@ def distance(metric: Metric, row_a: Row, row_b: Row) -> ExactDissimilarity:
     Every key counts the mismatched positions.  Euclidean (whose key is the
     squared distance) and Manhattan keep the count; simple matching divides
     it by the row length; Jaccard divides it by the positions where either
-    row is set, and gives 0 for two all-zero rows.
+    row is set, and gives 0 for two all-zero rows.  A ``metric`` that is
+    not a ``Metric`` (a name, say) is refused.
     """
+    if not isinstance(metric, Metric):
+        raise ValidationError(f"metric must be a Metric, not {metric!r}")
     if len(row_a) != len(row_b):
         raise ValidationError(
             f"row length mismatch: {len(row_a)} vs {len(row_b)}")

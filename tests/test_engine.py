@@ -325,45 +325,94 @@ def test_snapshots_read_out_of_order_match_in_order_reads():
             assert read(shuffled) == in_order
 
 
-def test_walk_rounds_hands_out_each_rounds_new_rows():
-    # A round's new rows are those of the clusters not active after the
-    # round before it, or all of them where the walk starts again.
+VIEWS = (lambda e: e.display, lambda e: (e.key, e.metric))
+
+
+def viewed(views, matrix):
+    """Each view's lower triangle of ``matrix``, as ``walk_rounds`` hands it out."""
+    return tuple([[view(matrix.exact[k]) for k in row] for row in matrix.keys]
+                 for view in views)
+
+
+def test_walk_rounds_tables_are_views_of_the_matrix():
+    # In any read order, each step's table per view is that view of the
+    # round's matrix, a row per active cluster.
     rng = random.Random(32)
-    for case in range(12):
+    for case in range(6):
         rows = random_rows(rng, n=rng.randint(6, 14), t=rng.randint(2, 5))
-        for policy in MergePolicy:
-            trace = cluster(make_pattern(rows), list(Metric)[case % 4], policy=policy).trace
+        for metric, policy in itertools.product(Metric, MergePolicy):
+            trace = cluster(make_pattern(rows), metric, policy=policy).trace
             shuffled = list(trace)
             rng.shuffle(shuffled)
             for order in (trace, trace[::-1], trace[::2], shuffled):
-                before: set[int] = set()
-                previous = 0
-                for step in engine.walk_rounds(order):
-                    matrix = step.round.matrix_after
-                    if step.round.round_index < previous:
-                        before = set()
-                    fresh = sum(c.id not in before for c in matrix.active)
-                    assert step.active == matrix.active
-                    assert step.new_rows == matrix.keys[len(matrix.keys) - fresh:]
-                    assert step.exact is matrix.exact
-                    before, previous = {c.id for c in step.active}, step.round.round_index
+                for views in (VIEWS, VIEWS[:1], ()):
+                    read = []
+                    for step in engine.walk_rounds(order, *views):
+                        matrix = step.round.matrix_after
+                        assert step.active == matrix.active
+                        assert step.tables == viewed(views, matrix)
+                        read.append(step.round)
+                    assert read == list(order)
 
 
-def test_walk_rounds_owns_its_rows():
+def test_walk_rounds_owns_its_tables():
     trace = cluster(make_pattern(random_rows(random.Random(33), n=12)),
                     Metric.EUCLIDEAN).trace
-    steps = engine.walk_rounds(trace)
+    steps = engine.walk_rounds(trace, *VIEWS)
     step = next(steps)
-    rows = [row.copy() for row in step.new_rows]
+    tables = tuple([row.copy() for row in table] for table in step.tables)
     # The public replay goes to the last round and back to the first.
     assert len(trace[-1].matrix_after.active) == 1
-    assert trace[0].matrix_after.keys == rows
-    assert step.new_rows == rows
-    assert [next(steps).active for _ in trace[1:]] == [r.matrix_after.active for r in trace[1:]]
+    assert viewed(VIEWS, trace[0].matrix_after) == tables
+    assert step.tables == tables
+    rest = [(s.active, viewed(VIEWS, s.round.matrix_after), s.tables) for s in steps]
+    assert [(active, table) for active, table, _ in rest] == [
+        (r.matrix_after.active, viewed(VIEWS, r.matrix_after)) for r in trace[1:]]
+    # The tables are the walk's own, moved on in place.
+    assert all(s_tables is step.tables for _, _, s_tables in rest)
     assert list(engine.walk_rounds(())) == []
+    assert list(engine.walk_rounds((), *VIEWS)) == []
     other = cluster(make_pattern(random_rows(random.Random(34), n=5)), Metric.EUCLIDEAN).trace
     with pytest.raises(ValidationError, match="one run"):
-        list(engine.walk_rounds(trace[:1] + other[:1]))
+        list(engine.walk_rounds(trace[:1] + other[:1], *VIEWS))
+
+
+def test_walk_rounds_calls_each_view_once_per_distinct_distance():
+    # The walk keeps every view's results for the whole run, across its
+    # starts from the leaves, so a sequential run's O(n^3) cells take O(n^2)
+    # calls, one per distinct distance of the leaf table.
+    rng = random.Random(35)
+    for case in range(6):
+        rows = random_rows(rng, n=rng.randint(6, 14), t=rng.randint(2, 5))
+        for metric, policy in itertools.product(Metric, MergePolicy):
+            pattern = make_pattern(rows)
+            trace = cluster(pattern, metric, policy=policy).trace
+            distinct = sorted(set(initial_proximity(pattern, metric).cells.values()))
+            shuffled = list(trace)
+            rng.shuffle(shuffled)
+            for order in (trace, trace[::-1], trace[::2], shuffled, trace + trace, trace[-1:]):
+                calls: tuple[list, list] = ([], [])
+                views = [lambda e, seen=seen, view=view: seen.append(e) or view(e)
+                         for seen, view in zip(calls, VIEWS)]
+                for _ in engine.walk_rounds(order, *views):
+                    pass
+                assert [sorted(seen) for seen in calls] == [distinct, distinct]
+    assert list(engine.walk_rounds((), lambda e: pytest.fail("called"))) == []
+
+
+def test_names_for_metric_or_policy_are_refused():
+    # A name is not a Metric: compared by identity, it would fall through
+    # to the mismatch count, and a policy name to the sequential policy.
+    pattern = make_pattern([(1, 0, 1), (1, 1, 0), (0, 1, 1)])
+    for call in (lambda: cluster(pattern, "jaccard"),
+                 lambda: cluster(pattern, "jaccard", "paper"),
+                 lambda: initial_proximity(pattern, "jaccard")):
+        with pytest.raises(ValidationError, match="'jaccard'"):
+            call()
+    for policy in ("paper", "sequential", None):
+        with pytest.raises(ValidationError, match=repr(policy)):
+            cluster(pattern, Metric.JACCARD, policy)
+    assert len(cluster(pattern, Metric.JACCARD, MergePolicy.PAPER_REPRO).trace) == 2
 
 
 def test_euclidean_manhattan_identical_traces():

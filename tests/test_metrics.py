@@ -88,6 +88,13 @@ def test_jaccard_examples():
     assert distance(Metric.JACCARD, (0, 0, 0), (0, 0, 0)).key == 0
 
 
+def test_metric_name_is_refused():
+    # Compared by identity, a name would fall through to the mismatch count.
+    for metric in ("jaccard", "smc", None):
+        with pytest.raises(ValidationError, match=repr(metric)):
+            distance(metric, [1, 0, 1], [1, 1, 0])
+
+
 @given(row_pairs)
 def test_symmetry(pair):
     a, b = pair
