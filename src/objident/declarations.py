@@ -24,9 +24,10 @@ import re
 from .errors import ParseError
 from .features import ComponentRecord
 
-# One token per match; whitespace is skipped by the search, and any other
-# character lands in the catch-all group.
-_TOKEN_RE = re.compile(r"%types\b|[A-Za-z_][A-Za-z0-9_]*|[*(),!:]|(\S)")
+# One token per match; whitespace is skipped by the search.  A line whose
+# tokens do not spell out all of its other characters has one that starts
+# no token, which the search with a catch-all group added finds.
+_TOKEN_RE = re.compile(r"%types\b|[A-Za-z_][A-Za-z0-9_]*|[*(),!:]")
 
 # Words of the grammar that cannot name a struct, subject type, function
 # or parameter.
@@ -37,75 +38,80 @@ def _is_name(text: str) -> bool:
     return text.isidentifier() and text not in _KEYWORDS
 
 
-_Token = tuple[str, int]  # text, 1-based column
-
-
-def _tokenize(line: str, line_no: int) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(line):
-        if match.group(1):
-            raise ParseError(f"unexpected character {match.group(1)!r}",
-                             line=line_no, column=match.start() + 1)
-        tokens.append((match.group(), match.start() + 1))
+def _tokenize(line: str, line_no: int) -> list[str]:
+    tokens = _TOKEN_RE.findall(line)
+    if "".join(tokens) != "".join(line.split()):
+        bad = next(match for match in re.finditer(_TOKEN_RE.pattern + r"|(\S)", line)
+                   if match.group(1))
+        raise ParseError(f"unexpected character {bad.group(1)!r}",
+                         line=line_no, column=bad.start() + 1)
     return tokens
 
 
-def _parse_proto(tokens: list[_Token], line_no: int,
-                 line_len: int) -> tuple[ComponentRecord, list[_Token]]:
-    """The line's record, plus its ``! uses:`` name tokens."""
+def _column(line: str, index: int) -> int:
+    """The 1-based column of token ``index`` of a line ``_tokenize``
+    accepted, or just past the line's end if there is no such token."""
+    starts = [match.start() + 1 for match in _TOKEN_RE.finditer(line)]
+    return starts[index] if index < len(starts) else len(line) + 1
+
+
+def _parse_proto(tokens: list[str], line: str,
+                 line_no: int) -> tuple[ComponentRecord, list[int]]:
+    """The line's record, plus the indexes of its ``! uses:`` name tokens."""
     rest = tokens[::-1]  # the next token is last
 
-    def take(expected: str, accept) -> _Token:
-        if rest and accept(rest[-1][0]):
+    def take(expected: str, accept) -> str:
+        if rest and accept(rest[-1]):
             return rest.pop()
-        found, column = ((repr(rest[-1][0]), rest[-1][1]) if rest
-                         else ("end of line", line_len + 1))
+        found = repr(rest[-1]) if rest else "end of line"
         raise ParseError(f"expected {expected}, found {found}",
-                         line=line_no, column=column)
+                         line=line_no, column=_column(line, len(tokens) - len(rest)))
 
     def skip(punct: str) -> bool:
-        if rest and rest[-1][0] == punct:
+        if rest and rest[-1] == punct:
             rest.pop()
             return True
         return False
 
     def parse_type() -> str:
-        name, column = take("a type ('void', 'int', or 'struct <name>')", str.isidentifier)
+        name = take("a type ('void', 'int', or 'struct <name>')", str.isidentifier)
         if name in ("void", "int"):
             return name
         if name != "struct":
             raise ParseError(
                 f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
-                line=line_no, column=column)
-        struct_name = take("struct name", _is_name)[0]
+                line=line_no, column=_column(line, len(tokens) - len(rest) - 1))
+        struct_name = take("struct name", _is_name)
         skip("*")
         return struct_name
 
     returns = parse_type()
-    name = take("function name", _is_name)[0]
+    name = take("function name", _is_name)
     take("'('", "(".__eq__)
     args: list[str] = []
-    if not (rest and rest[-1][0] == ")"):
+    if not (rest and rest[-1] == ")"):
         args.append(parse_type())
         take("parameter name", _is_name)
         while skip(","):
             args.append(parse_type())
             take("parameter name", _is_name)
     take("')'", ")".__eq__)
-    uses: list[_Token] = []
+    uses: list[int] = []
     if skip("!"):
         take("'uses'", "uses".__eq__)
         take("':'", ":".__eq__)
-        uses.append(take("subject type name", str.isidentifier))
+        take("subject type name", str.isidentifier)
+        uses.append(len(tokens) - len(rest) - 1)
         while skip(","):
-            uses.append(take("subject type name", str.isidentifier))
+            take("subject type name", str.isidentifier)
+            uses.append(len(tokens) - len(rest) - 1)
     if rest:
         take("end of line", lambda text: False)
     return ComponentRecord(
         name=name,
         returns=None if returns == "void" else returns,
         args=tuple(args),
-        uses_fields=frozenset(text for text, _ in uses),
+        uses_fields=frozenset(map(tokens.__getitem__, uses)),
     ), uses
 
 
@@ -119,7 +125,7 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
     """
     records: list[ComponentRecord] = []
     record_lines: dict[str, int] = {}
-    uses_names: list[tuple[int, _Token]] = []
+    uses_names: list[tuple[int, str, list[str], int]] = []  # line no., line, tokens, index
     directive_types: list[str] | None = None
     appearances: dict[str | None, None] = {}  # first appearance, returns first
 
@@ -131,26 +137,26 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
         tokens = _tokenize(line, line_no)
         if not tokens:
             continue
-        if tokens[0][0] == "%types":
+        if tokens[0] == "%types":
             if directive_types is not None:
                 raise ParseError("duplicate %types directive",
-                                 line=line_no, column=tokens[0][1])
+                                 line=line_no, column=_column(line, 0))
             names = []
-            for name, column in tokens[1:]:
+            for index, name in enumerate(tokens[1:], 1):
                 if not _is_name(name):
                     raise ParseError(f"expected type name, found {name!r}",
-                                     line=line_no, column=column)
+                                     line=line_no, column=_column(line, index))
                 if name in names:
                     raise ParseError(f"duplicate subject type {name!r}",
-                                     line=line_no, column=column)
+                                     line=line_no, column=_column(line, index))
                 names.append(name)
             if not names:
                 raise ParseError("%types needs at least one type name",
-                                 line=line_no, column=tokens[0][1])
+                                 line=line_no, column=_column(line, 0))
             directive_types = names
             continue
-        record, uses = _parse_proto(tokens, line_no, len(line))
-        uses_names.extend((line_no, token) for token in uses)
+        record, uses = _parse_proto(tokens, line, line_no)
+        uses_names.extend((line_no, line, tokens, index) for index in uses)
         if record.name in record_lines:
             raise ParseError(
                 f"duplicate function name {record.name!r} "
@@ -173,8 +179,8 @@ def parse_declarations(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecor
         raise ParseError("no subject type: no %types directive and no struct type",
                          line=min(record_lines.values()))
     declared = set(subjects)
-    for line_no, (name, column) in uses_names:
-        if name not in declared:
-            raise ParseError(f"unknown subject type {name!r} in '! uses:'",
-                             line=line_no, column=column)
+    for line_no, line, tokens, index in uses_names:
+        if tokens[index] not in declared:
+            raise ParseError(f"unknown subject type {tokens[index]!r} in '! uses:'",
+                             line=line_no, column=_column(line, index))
     return subjects, tuple(records)

@@ -17,10 +17,18 @@ height or snapshot shows.
 Single linkage is a process of distance levels (Gower & Ross; Müllner,
 arXiv:1109.2378): at each distance, the clusters that have a pair of rows
 at that distance merge, and only the order of a level's merges is left to
-choose.  So the engine computes the int of each pair of distinct rows once,
-buckets the pairs by int and walks the levels upwards, each id in ascending
-order taking its smallest neighbour.  Time is O(n^2 log n) and memory O(n^2)
-for n pattern rows, whatever the ties.
+choose.  So the engine walks the levels upwards, each id in ascending order
+taking its smallest neighbour, and takes each level's pairs from a source
+when it reaches the level.  Only the pairs of distinct rows that share a
+column get an int, found through a column -> rows index as in all-pairs
+similarity search (Bayardo, Ma & Srikant, WWW 2007).  Any other pair's int
+follows from the two row weights (w_a + w_b, or the top level under
+Jaccard), and such a level is listed, one pair per two clusters that hold
+such a pair, only when the walk gets there.  So time and memory follow the
+pairs that share a column and the clusters at the levels reached, not n^2.
+Rows dense enough that the index would list more pairs than there are get
+every pair's int instead, O(n^2) time and memory, and only the pairs up to
+the last merge, found from a spanning tree, are sorted into levels.
 
 No distance table between clusters is kept.  A round's proximity matrix is
 re-derived from the merge list by a forward walk that applies the merges,
@@ -41,11 +49,11 @@ from __future__ import annotations
 import enum
 from array import array
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from functools import cached_property
 from heapq import heappop, heapreplace
-from itertools import chain
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, groupby, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dendrogram import DendroNode, Dendrogram, _Memo
 from .errors import ConfigError, ValidationError
@@ -175,44 +183,147 @@ def _row_classes(pattern: PatternMatrix) -> list[list[int]]:
     return list(classes.values())
 
 
-def _row_ints(metric: Metric, width: int, a: int, rows: Sequence[int]) -> list[int]:
+def _row_ints(metric: Metric, width: int, a: int, rows: Sequence[int],
+              weights: Sequence[int]) -> list[int]:
     """The distance of pattern row ``a`` to each pattern row of ``rows``, as
-    an int that orders and ties exactly like the metric's key.  Only the
-    bit counts of ``a ^ b`` and ``a | b`` are read, so bit order is free."""
+    an int that orders and ties exactly like the metric's key; ``weights``
+    holds the bit count of each row of ``rows``.  Only bit counts are read,
+    so bit order is free."""
+    xs = [(a ^ b).bit_count() for b in rows]
     if metric is not Metric.JACCARD:
         # The Euclidean (squared), Manhattan and SMC keys are the mismatch
         # count or a fixed multiple of it.
-        return [(a ^ b).bit_count() for b in rows]
+        return xs
     # Jaccard is x/u with x mismatches and 0 < u <= W set columns, or 0 for
-    # two empty rows.  Two distinct fractions with denominators <= W differ
-    # by at least 1/W^2, so floor(x * W^2 / u) orders and ties like x/u.
-    scale = width * width
-    return [(a ^ b).bit_count() * scale // ((a | b).bit_count() or 1) for b in rows]
+    # two empty rows, where u = (w_a + w_b + x) / 2.  Two distinct fractions
+    # with denominators <= W differ by at least 1/W^2, so floor(x * W^2 / u)
+    # orders and ties like x/u.
+    scale, wa = width * width, a.bit_count()
+    return [x * scale // ((wa + wb + x) >> 1 or 1) for x, wb in zip(xs, weights)]
 
 
-def _pair_ints(pattern: PatternMatrix, metric: Metric,
-               classes: list[list[int]]) -> dict[int, array]:
-    """``_row_ints`` of each pair of distinct pattern rows, bucketed by int:
-    a pair of classes p < q is stored once, as ``p * len(classes) + q``.
+def _levels(pattern: PatternMatrix, metric: Metric, classes: list[list[int]],
+            inside: dict[int, list[int]], dense: bool | None = None
+            ) -> Iterator[tuple[int, Iterable[tuple[int, int]]]]:
+    """The distance levels of the pairs of distinct pattern rows, ascending,
+    each with pairs of classes (indexes into ``classes``, which is
+    ``_row_classes(pattern)``) that make the level's neighbours: every pair
+    of classes at the level, or, for a pair that shares no column, one pair
+    per two clusters of ``inside`` (cluster -> its classes) as it stands
+    when the level is asked for.  Nothing is computed before the first
+    level is asked for, and no level past the last one asked for is listed.
 
-    ``classes`` is ``_row_classes(pattern)``: each distinct row is read
-    once, and only the upper triangle of the class pairs is computed."""
+    A pair that shares a column is found through a column -> classes index
+    and its int computed by ``_row_ints``.  Any other pair's int is fixed by
+    the two row weights: w_a + w_b, or under Jaccard the top level W^2; at
+    such a level the clusters that hold such a pair are found from the
+    clusters' rows when the level is reached, and the level also lists the
+    pair (0, 0), which the walk skips.  Unless ``dense`` is False, an input
+    whose index would list more pairs than there are (dense rows, such as a
+    chain's) has every pair computed instead, as ``dense`` True asks; then
+    the levels stop at the longest edge of a spanning tree, which no merge
+    is above."""
     rows = [pattern.rows[ids[0]] for ids in classes]
-    count = len(rows)
-    buckets: dict[int, array] = defaultdict(lambda: array("I"))
-    for p, a in enumerate(rows):
-        keys = _row_ints(metric, pattern.n_cols, a, rows[p + 1:])
-        for pq, key in enumerate(keys, p * count + p + 1):
-            buckets[key].append(pq)
-    return buckets
+    weights = [a.bit_count() for a in rows]
+    count, width, jaccard = len(rows), pattern.n_cols, metric is Metric.JACCARD
+    # The column -> classes index, while it lists fewer pairs than the
+    # square has: mine[p] holds (column, the length it had before p).
+    cols: list[list[int]] = [[] for _ in range(width)]
+    mine: list[list[tuple[list[int], int]]] = []
+    budget = count * (count - 1) // 2
+    for a in rows:
+        if dense or dense is None and budget < 0:
+            break
+        mine.append([])
+        while a:
+            low = a & -a
+            a ^= low
+            col = cols[low.bit_length() - 1]
+            budget -= len(col)
+            mine[-1].append((col, len(col)))
+            col.append(len(mine) - 1)
+    if dense is None:
+        dense = budget < 0
+    # One int per pair: its level, then its two classes.
+    shift = count.bit_length()
+    level_shift = 2 * shift
+    found, typecode = [], "I" if width * width < 1 << 32 else "Q"
+    for p in range(1, count):
+        if dense:
+            qs, near_rows, near_weights = range(p), rows[:p], weights[:p]
+        else:
+            qs = tuple(set().union(*(col[:k] for col, k in mine[p])))
+            near_rows = list(map(rows.__getitem__, qs))
+            near_weights = list(map(weights.__getitem__, qs))
+        keys = _row_ints(metric, width, rows[p], near_rows, near_weights)
+        found.append((p << shift, qs, array(typecode, keys)))
+    bound = width * width
+    if dense and found:
+        # No merge is above the longest edge of a spanning tree: first the
+        # one that joins each class to its nearest earlier class; if that
+        # edge is not the shortest pair, Prim's, whose longest edge is the
+        # last merge.
+        tri = [keys for _, _, keys in found]
+        earlier = list(map(min, tri))
+        bound = max(earlier)
+        if bound > min(earlier):
+            # out: the classes not in the tree yet; dist: their distance.
+            out, dist, bound = list(range(count - 1)), list(tri[-1]), 0
+            while out:
+                i = dist.index(min(dist))
+                v, bound = out.pop(i), max(bound, dist.pop(i))
+                dist = list(map(min, dist, [tri[v - 1][q] if q < v else tri[q - 1][v]
+                                            for q in out]))
+    packed = [key << level_shift | base | q for base, qs, keys in found
+              for key, q in zip(keys, qs) if key <= bound]
+    del cols, mine, found
+    # Each level of the pairs that share no column gets a pair (0, 0), so
+    # that it is listed even if it has no other.
+    tiers = Counter([0] * count if jaccard else weights)
+    apart = set() if dense else {width * width if jaccard else s + t for s in tiers
+                                 for t in tiers if s < t or s == t and tiers[s] > 1}
+    packed += [key << level_shift for key in apart]
+    packed.sort()
+    pair_bits = (1 << level_shift) - 1
+    for key, group in groupby(packed, level_shift.__rrshift__):
+        pairs = map(divmod, map(pair_bits.__and__, group), repeat(1 << shift))
+        if key in apart:
+            pairs = chain(pairs, _apart_pairs(key, inside, rows, None if jaccard else weights))
+        yield key, pairs
+
+
+def _apart_pairs(key: int, inside: dict[int, list[int]], rows: list[int],
+                 weights: list[int] | None) -> Iterator[tuple[int, int]]:
+    """One class pair for each two clusters of ``inside`` that hold a pair
+    of classes with no column in common at level ``key``: weights that sum
+    to ``key``, or any pair if ``weights`` is ``None`` (Jaccard).  It reads
+    ``inside`` as it stands when the first pair is asked for."""
+    # tier -> cluster -> [the OR of its rows there, those rows]
+    tiers: dict[int, dict[int, list]] = defaultdict(dict)
+    for c, ps in inside.items():
+        for p in ps:
+            entry = tiers[weights[p] if weights else 0].setdefault(c, [0, []])
+            entry[0] |= rows[p]
+            entry[1].append(rows[p])
+    for s, left in tiers.items():
+        t = key - s if weights else s
+        if s > t or t not in tiers:
+            continue
+        right = tiers[t].items()
+        for c, (cu, cs) in left.items():
+            name = inside[c][0]
+            yield from ((name, inside[d][0]) for d, (du, ds) in right
+                        if (c < d if s == t else c != d)
+                        and (not cu & du or any(not a & b for a in cs for b in ds)))
 
 
 def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
     """The int distance between every two pattern rows, as a lower
     triangle: row p is ``_row_ints`` of row p against rows 0..p-1, copies
     included, each row a list of its own."""
-    rows = pattern.rows
-    return [_row_ints(metric, pattern.n_cols, a, rows[:p]) for p, a in enumerate(rows)]
+    rows, weights = pattern.rows, [a.bit_count() for a in pattern.rows]
+    return [_row_ints(metric, pattern.n_cols, a, rows[:p], weights[:p])
+            for p, a in enumerate(rows)]
 
 
 class _ExactKeys(dict):
@@ -346,8 +457,10 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     cluster is left; level 0 is the classes of identical rows.  At a higher
     level two clusters are neighbours if a pair of their rows is at that
     distance, and a merge's neighbours are its parts'.  Memory is one int
-    per pair of distinct rows plus one neighbour entry per pair at the
-    current level, all freed on return: a replay of the merges rebuilds a
+    per pair of distinct rows that share a column (per pair up to the last
+    merge, for rows too dense for a column index) plus one neighbour entry
+    per pair at the current level, or per two clusters for the pairs that
+    share no column, all freed on return: a replay of the merges rebuilds a
     round's ``matrix_after`` when it is read, from a lower triangle over
     the active clusters alone, so reading every round's matrix of a
     sequential run costs O(n^3) in time and O(n^2) in memory;
@@ -355,6 +468,15 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     distances without copying them.  A ``metric`` or ``policy`` that is not
     a ``Metric`` or ``MergePolicy`` (a name, say) is refused.
     """
+    return _cluster(pattern, metric, policy, _levels)
+
+
+def _cluster(pattern: PatternMatrix, metric: Metric, policy: MergePolicy,
+             levels: Callable[..., Iterator[tuple[int, Iterable[tuple[int, int]]]]]
+             ) -> ClusterResult:
+    """``cluster``, with the pairs of each level pulled from the iterator
+    ``levels(pattern, metric, classes, inside)``: ``_levels`` for
+    ``cluster``, or another source to check the walk against."""
     replay = _Replay(pattern, metric)
     if not isinstance(policy, MergePolicy):
         raise ValidationError(f"policy must be a MergePolicy, not {policy!r}")
@@ -392,18 +514,16 @@ def cluster(pattern: PatternMatrix, metric: Metric,
     at = [ids[-1] for ids in live]
     inside = {c: [p] for p, c in enumerate(at)}
 
-    count, buckets = len(classes), _pair_ints(pattern, metric, classes)
     # near[c]: c's larger neighbours at the level, each named by one of its
     # classes; merges leave a name valid, and make some repeat.  In id order,
     # each cluster takes its smallest neighbour not yet taken (one greedy
     # matching per round, or only the first pair), and a smaller neighbour
     # still free would have taken it first, so the larger ones are enough.
     near: dict[int, array] = defaultdict(lambda: array("I"))
-    for key in sorted(buckets):
-        if len(inside) == 1:
-            break
-        for pq in buckets.pop(key):
-            p, q = divmod(pq, count)
+    pairs_by_level = levels(pattern, metric, classes, inside)
+    while len(inside) > 1:
+        key, pairs = next(pairs_by_level)
+        for p, q in pairs:
             if at[p] < at[q]:
                 near[at[p]].append(q)
             elif at[q] < at[p]:

@@ -511,6 +511,32 @@ def per_pair_int(metric, a, b):
     return x * len(a) ** 2 // u if u else 0
 
 
+def drain(pattern, metric, dense):
+    """Every (int, p, q), p < q, that ``_levels`` lists for the classes of
+    ``pattern`` while each class is a cluster of its own, and the ints of
+    its levels in the order listed.  A pair (p, p), which the walk skips,
+    is left out."""
+    classes = engine._row_classes(pattern)
+    inside = {c: [c] for c in range(len(classes))}
+    listed, keys = [], []
+    for key, pairs in engine._levels(pattern, metric, classes, inside, dense):
+        keys.append(key)
+        listed += [(key, min(p, q), max(p, q)) for p, q in pairs if p != q]
+    return listed, keys
+
+
+def last_merge_int(rows, metric):
+    """The longest edge of a minimum spanning tree over ``rows`` under the
+    engine's ints: the level of single linkage's last merge."""
+    joined, longest = {0}, 0
+    while len(joined) < len(rows):
+        key, q = min((per_pair_int(metric, rows[p], rows[q]), q)
+                     for p in joined for q in range(len(rows)) if q not in joined)
+        joined.add(q)
+        longest = max(longest, key)
+    return longest
+
+
 @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
 def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
     rng = random.Random(11)
@@ -528,11 +554,27 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
     inputs.append([zero, ends, zero, middle, zero, ends])
     for rows in inputs:
         pattern = make_pattern(rows)
-        # Each pair of distinct rows is bucketed once, as p * count + q, p < q.
-        classes = engine._row_classes(pattern)
-        count, buckets = len(classes), engine._pair_ints(pattern, metric, classes)
-        assert sorted(pq for pairs in buckets.values() for pq in pairs) == [
-            p * count + q for p, q in itertools.combinations(range(count), 2)]
+        distinct = [rows[ids[0]] for ids in engine._row_classes(pattern)]
+        every = sorted((per_pair_int(metric, distinct[p], distinct[q]), p, q)
+                       for p, q in itertools.combinations(range(len(distinct)), 2))
+        # The sparse source lists each pair of distinct rows once, at its
+        # int, with the levels ascending and each level listed once: the
+        # pairs that share a column from the index, the others (one per two
+        # clusters, and each class is a cluster here) from the row weights.
+        listed, keys = drain(pattern, metric, dense=False)
+        assert sorted(listed) == every
+        assert keys == sorted(set(keys))
+        # The dense source computes every pair, and lists those up to the
+        # last merge, which no later level can hold.
+        dense, keys = drain(pattern, metric, dense=True)
+        last = last_merge_int(distinct, metric) if len(distinct) > 1 else -1
+        assert sorted(dense) == [pair for pair in every if pair[0] <= last]
+        assert keys == sorted(set(keys))
+        # By default, the source is dense when a column index would list
+        # more pairs, repeats included, than there are.
+        indexed = sum(k * (k - 1) // 2 for k in map(sum, zip(*distinct)))
+        chosen = listed if indexed <= len(every) else dense
+        assert sorted(drain(pattern, metric, dense=None)[0]) == sorted(chosen)
         assert pair_ints(pattern, metric) == [[per_pair_int(metric, a, b) for b in rows]
                                               for a in rows]
         # Each row, copies included, is computed against the rows before it
@@ -540,3 +582,53 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
         table = engine._leaf_table(pattern, metric)
         assert [len(row) for row in table] == list(range(len(rows)))
         assert len(set(map(id, table))) == len(rows)
+
+
+def overlapping_pairs(pattern):
+    distinct = list(dict.fromkeys(pattern.rows))
+    return sum(1 for a, b in itertools.combinations(distinct, 2) if a & b)
+
+
+@pytest.mark.parametrize("metric, policy, n", [
+    (Metric.JACCARD, MergePolicy.PAPER_REPRO, 300),
+    (Metric.EUCLIDEAN, MergePolicy.SEQUENTIAL, 200),
+], ids=["jaccard-paper", "euclidean-sequential"])
+def test_pair_source_computes_only_what_the_walk_reaches(monkeypatch, metric, policy, n):
+    # An eager source, or a dense one, gives the same merges: only the
+    # work it does tells it apart.
+    from test_reference_net import generated
+
+    pattern = generated(n, 0.5, n)
+    computed, apart, listed = [], [], []
+    row_ints, apart_pairs = engine._row_ints, engine._apart_pairs
+
+    def counted_row_ints(metric, width, a, rows, weights):
+        computed.append(len(rows))
+        return row_ints(metric, width, a, rows, weights)
+
+    def recorded_apart_pairs(key, *args):
+        apart.append(key)
+        return apart_pairs(key, *args)
+
+    def recorded_levels(*args):
+        for key, pairs in engine._levels(*args):
+            listed.append(key)
+            yield key, pairs
+
+    monkeypatch.setattr(engine, "_row_ints", counted_row_ints)
+    monkeypatch.setattr(engine, "_apart_pairs", recorded_apart_pairs)
+    trace = engine._cluster(pattern, metric, policy, recorded_levels).trace
+    # Only the pairs of distinct rows that share a column get an int.
+    overlapping = overlapping_pairs(pattern)
+    distinct = len(set(pattern.rows))
+    assert sum(computed) == overlapping < distinct * (distinct - 1) // 2
+    # No level past the last merge is listed, nor are its pairs looked for,
+    # though the row weights make levels above it.
+    exact = engine._ExactKeys(metric, pattern.n_cols)
+    assert exact[listed[-1]] == trace[-1].min_key
+    assert listed == sorted(set(listed)) and all(key <= listed[-1] for key in apart)
+    if metric is Metric.JACCARD:
+        assert trace[-1].min_key.key < 1 and not apart
+    else:
+        weights = {row.bit_count() for row in pattern.rows}
+        assert apart and max(weights) * 2 > listed[-1]
