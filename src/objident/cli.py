@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .declarations import parse_declarations
 from .engine import policy_from_name
 from .errors import ConfigError, ObjidentError
 from .ingest import (
@@ -91,6 +90,7 @@ def main(argv=None) -> int:
         else:
             if os.path.realpath(args.out) == os.path.realpath(args.decls):
                 raise ConfigError(f"--decls and --out name the same file {str(args.out)!r}")
+            from .declarations import parse_declarations
             subjects, records = parse_declarations(read_text(args.decls))
             write_text_atomic(args.out,
                               canonical_json(components_document(subjects, records)))

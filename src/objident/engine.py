@@ -132,7 +132,7 @@ class MergeRound(NamedTuple("MergeRound", [
         time when rounds are read in order (an earlier round starts the
         walk again), its ``cells`` dict only when read.  Hold on to the
         result to read it twice.  This is the library's reader:
-        ``dendrogram.to_structured`` and ``structured_chunks`` never call
+        ``document.to_structured`` and ``structured_chunks`` never call
         it, and read instead the tables of a ``walk_rounds`` of their own."""
         return self._replay.matrix_after(self.round_index)
 
@@ -353,7 +353,8 @@ class _ExactKeys(dict):
 class _Replay:
     """An agglomeration's merge list, ``clusters`` (tree nodes by id), the
     int -> ``ExactDissimilarity`` map, and the walk that ``matrix_after``
-    reads."""
+    reads; ``keys`` holds each cluster's height as the engine's int, 0 for
+    a leaf."""
 
     def __init__(self, pattern: PatternMatrix, metric: Metric):
         if not isinstance(metric, Metric):
@@ -363,16 +364,18 @@ class _Replay:
         self.pattern, self.metric = pattern, metric
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
         self.exact = _ExactKeys(metric, pattern.n_cols)
+        self.keys = [0] * pattern.n_rows
         self.table = _Triangle(self)
 
-    def record(self, group: tuple[int, ...], height: ExactDissimilarity,
-               round_index: int) -> DendroNode:
-        """Append and return the ``DendroNode`` of a merge of ``group``."""
-        clusters, n = self.clusters, self.pattern.n_rows
-        if any(clusters[g].height > height for g in group if g >= n):
+    def record(self, group: tuple[int, ...], key: int, round_index: int) -> DendroNode:
+        """Append and return the ``DendroNode`` of a merge of ``group`` at
+        the int distance ``key``."""
+        clusters, n, height = self.clusters, self.pattern.n_rows, self.exact[key]
+        if any(self.keys[g] > key for g in group):
             raise ValidationError(f"merge at {height.display} would sit below one of its parts")
         new = DendroNode(len(clusters), f"C{len(clusters) - n + 1}", group, height, round_index)
         clusters.append(new)
+        self.keys.append(key)
         return new
 
     def matrix_after(self, round_index: int) -> ProximityMatrix:
@@ -485,7 +488,7 @@ def _cluster(pattern: PatternMatrix, metric: Metric, policy: MergePolicy,
 
     def merge_round(groups: list[tuple[int, ...]], key: int) -> list[int]:
         height = replay.exact[key]
-        merges = [Merge(replay.record(group, height, len(trace) + 1),
+        merges = [Merge(replay.record(group, key, len(trace) + 1),
                         tuple(map(clusters.__getitem__, group))) for group in groups]
         trace.append(MergeRound(len(trace) + 1, height, tuple(merges), replay))
         return [new.id for new, _ in merges]

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import dendrogram as dendro
-from .declarations import parse_declarations
 from .engine import MergePolicy, cluster
 from .errors import ConfigError, InputOutputError, ParseError
 from .features import ComponentRecord, build_pattern_matrix, derive_relations
@@ -381,16 +380,18 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
 
     Raises ObjidentError subclasses on any failure; output files are
     written only after the clustering, cut and report have succeeded, and
-    together: none appears unless all of them could be written.  The
-    structured document (``--trace``, ``--format structured``) is rendered
-    while it is written, by ``dendrogram.structured_chunks``, so no part of
-    it, neither the O(n^3) matrices nor a deep tree's nested
-    ``dendrogram``, is ever one string.  It is rendered once per run: a run
-    that asks for both gives both paths the same chunk iterable, and
-    ``write_texts_atomic`` copies the first file to the second.  A failure
-    while rendering or copying still leaves no output.  The files are in
-    place before the summary is printed, so a failing ``out`` (an
-    InputOutputError) leaves them complete.
+    together: none appears unless all of them could be written.  Only a
+    ``decls`` run imports ``declarations``, and only a run that writes the
+    structured document (``--trace``, ``--format structured``) imports
+    ``document``, so no run compiles a module it does not use.  The
+    document is rendered while it is written, by
+    ``document.structured_chunks``, so no part of it, neither the O(n^3)
+    matrices nor a deep tree's nested ``dendrogram``, is ever one string.
+    It is rendered once per run: a run that asks for both gives both paths
+    the same chunk iterable, and ``write_texts_atomic`` copies the first
+    file to the second.  A failure while rendering or copying still leaves
+    no output.  The files are in place before the summary is printed, so a
+    failing ``out`` (an InputOutputError) leaves them complete.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -399,6 +400,7 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     if config.input_kind is InputKind.COMPONENTS:
         subjects, records = parse_components(text)
     else:
+        from .declarations import parse_declarations
         subjects, records = parse_declarations(text)
         if records and not any(r.uses_fields for r in records):
             print("warning: no '! uses:' annotations found; "
@@ -417,9 +419,13 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         if config.report_path is not None:
             report = label_clusters(partition, pattern, schema)
 
-    # Rendered only if an output asks for it, and once if both do.
-    structured = dendro.structured_chunks(dend, trace, schema=schema, pattern=pattern,
-                                          report=report)
+    # Only --trace and --format structured import the document's module;
+    # the document is rendered once even if both outputs ask for it.
+    structured = None
+    if config.trace_path is not None or config.dendrogram_format is DendrogramFormat.STRUCTURED:
+        from .document import structured_chunks
+        structured = structured_chunks(dend, trace, schema=schema, pattern=pattern,
+                                       report=report)
     outputs = []
     if config.trace_path is not None:
         outputs.append((config.trace_path, structured))

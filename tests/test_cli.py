@@ -290,3 +290,32 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, str(root / "tests" / "check_imports.py")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert (child.returncode, child.stderr) == (0, "")
+
+
+# The command line's ``main`` in a fresh interpreter, then, on the last line
+# of stdout, its exit code and which of the optional modules the run loaded.
+LOAD_SET = ("import sys\n"
+            "from objident.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted({'objident.declarations', 'objident.document'}"
+            " & set(sys.modules)))\n")
+COMPONENTS = ["cluster", "--input", STACKS, "--kind", "components"]
+DECLS = ["cluster", "--input", STACKS_DECLS, "--kind", "decls"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (COMPONENTS + ["--cut", "k:2", "--report", "r.json", "--dendrogram", "tree.txt"], []),
+    (COMPONENTS + ["--dendrogram", "tree.dot", "--format", "dot"], []),
+    (DECLS + ["--dendrogram", "tree.txt"], ["objident.declarations"]),
+    (["parse", "--decls", STACKS_DECLS, "--out", "stacks.json"], ["objident.declarations"]),
+    (COMPONENTS + ["--trace", "trace.json"], ["objident.document"]),
+    (COMPONENTS + ["--dendrogram", "tree.json", "--format", "structured"],
+     ["objident.document"]),
+])
+def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", LOAD_SET, *argv], cwd=tmp_path,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.stderr == ""
+    assert child.stdout.splitlines()[-1] == f"0 {loaded}"

@@ -23,9 +23,9 @@ from objident import (
     parse_declarations,
     render_ascii,
     render_dot,
-    to_structured,
 )
-from objident.dendrogram import DendroNode, Dendrogram, structured_chunks
+from objident.dendrogram import DendroNode, Dendrogram
+from objident.document import structured_chunks, to_structured
 from objident.engine import MergeRound
 from objident.metrics import ExactDissimilarity
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -466,12 +467,19 @@ def test_permutation_invariance_with_unique_minima():
 
 def test_merge_below_its_parts_is_rejected():
     # Single linkage never does this; the guard keeps cut_height's use of a
-    # node's own height as its subtree's maximum sound.
-    replay = engine._Replay(make_pattern([(0, 0), (0, 1), (1, 1)]), Metric.EUCLIDEAN)
-    exact = engine._ExactKeys(Metric.EUCLIDEAN, 2)
-    first = replay.record((0, 2), exact[2], 1)
-    with pytest.raises(ValidationError, match="below"):
-        replay.record((1, first.id), exact[1], 2)
+    # node's own height as its subtree's maximum sound.  It compares the
+    # engine's ints, whose order must be the heights' under every metric.
+    pattern = make_pattern([(0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    for metric in Metric:
+        replay = engine._Replay(pattern, metric)
+        (near,), (far, _) = engine._leaf_table(pattern, metric)[1:]
+        assert replay.exact[near] < replay.exact[far]
+        first = replay.record((0, 2), far, 1)
+        message = f"merge at {replay.exact[near].display} would sit below one of its parts"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replay.record((1, first.id), near, 2)
+        # A merge at its part's own height is allowed: a level's merges share it.
+        assert replay.record((1, first.id), far, 2).height == replay.exact[far]
 
 
 def test_name_resolution_helpers():

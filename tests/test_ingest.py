@@ -22,8 +22,8 @@ from objident import (
     parse_cut_spec,
     write_text_atomic,
 )
-from objident import dendrogram
-from objident.dendrogram import structured_chunks
+from objident import document
+from objident.document import structured_chunks
 from objident.ingest import (
     DendrogramFormat,
     InputKind,
@@ -325,7 +325,7 @@ def test_execute_renders_the_structured_document_once(tmp_path, monkeypatch):
         calls.append(args)  # on the first chunk read: a render has started
         yield from structured_chunks(*args, **kwargs)
 
-    monkeypatch.setattr(dendrogram, "structured_chunks", counted)
+    monkeypatch.setattr(document, "structured_chunks", counted)
     trace, tree = tmp_path / "trace.json", tmp_path / "tree.json"
     execute(stacks_config(tmp_path, cut=("k", 2), trace_path=trace, dendrogram_path=tree,
                           dendrogram_format=DendrogramFormat.STRUCTURED))
