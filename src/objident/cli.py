@@ -9,20 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import policy_from_name
 from .errors import ConfigError, ObjidentError
-from .ingest import (
-    DendrogramFormat,
-    InputKind,
-    RunConfig,
-    canonical_json,
-    components_document,
-    execute,
-    parse_cut_spec,
-    read_text,
-    write_text_atomic,
-)
-from .metrics import metric_from_name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,9 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The pipeline is imported only once the arguments name a command, so
+    # --version, --help and a usage error load none of it.
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
+            from .engine import policy_from_name
+            from .ingest import DendrogramFormat, InputKind, RunConfig, execute, parse_cut_spec
+            from .metrics import metric_from_name
+
             metric = metric_from_name(args.metric)
             policy = policy_from_name(args.policy)
             if args.linkage.lower() != "single":
@@ -91,6 +84,8 @@ def main(argv=None) -> int:
             if os.path.realpath(args.out) == os.path.realpath(args.decls):
                 raise ConfigError(f"--decls and --out name the same file {str(args.out)!r}")
             from .declarations import parse_declarations
+            from .ingest import canonical_json, components_document, read_text, write_text_atomic
+
             subjects, records = parse_declarations(read_text(args.decls))
             write_text_atomic(args.out,
                               canonical_json(components_document(subjects, records)))

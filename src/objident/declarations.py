@@ -55,58 +55,74 @@ def _column(line: str, index: int) -> int:
     return starts[index] if index < len(starts) else len(line) + 1
 
 
+def _expected(what: str, tokens: list[str], index: int, line: str,
+              line_no: int) -> ParseError:
+    """The error for a line whose token ``index`` is not ``what``."""
+    found = repr(tokens[index]) if tokens[index] else "end of line"
+    return ParseError(f"expected {what}, found {found}",
+                      line=line_no, column=_column(line, index))
+
+
+def _parse_type(tokens: list[str], i: int, line: str, line_no: int) -> tuple[str, int]:
+    """The type that starts at token ``i``, and the index of the token after it."""
+    name = tokens[i]
+    if name in ("void", "int"):
+        return name, i + 1
+    if name != "struct":
+        if not name.isidentifier():
+            raise _expected("a type ('void', 'int', or 'struct <name>')",
+                            tokens, i, line, line_no)
+        raise ParseError(
+            f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
+            line=line_no, column=_column(line, i))
+    if not _is_name(tokens[i + 1]):
+        raise _expected("struct name", tokens, i + 1, line, line_no)
+    return tokens[i + 1], i + 3 if tokens[i + 2] == "*" else i + 2
+
+
 def _parse_proto(tokens: list[str], line: str,
                  line_no: int) -> tuple[ComponentRecord, list[int]]:
-    """The line's record, plus the indexes of its ``! uses:`` name tokens."""
-    rest = tokens[::-1]  # the next token is last
+    """The line's record, plus the indexes of its ``! uses:`` name tokens.
 
-    def take(expected: str, accept) -> str:
-        if rest and accept(rest[-1]):
-            return rest.pop()
-        found = repr(rest[-1]) if rest else "end of line"
-        raise ParseError(f"expected {expected}, found {found}",
-                         line=line_no, column=_column(line, len(tokens) - len(rest)))
-
-    def skip(punct: str) -> bool:
-        if rest and rest[-1] == punct:
-            rest.pop()
-            return True
-        return False
-
-    def parse_type() -> str:
-        name = take("a type ('void', 'int', or 'struct <name>')", str.isidentifier)
-        if name in ("void", "int"):
-            return name
-        if name != "struct":
-            raise ParseError(
-                f"unknown type {name!r} (expected 'void', 'int', or 'struct <name>')",
-                line=line_no, column=_column(line, len(tokens) - len(rest) - 1))
-        struct_name = take("struct name", _is_name)
-        skip("*")
-        return struct_name
-
-    returns = parse_type()
-    name = take("function name", _is_name)
-    take("'('", "(".__eq__)
+    One pass over the tokens, ``i`` being the index of the next one.  An
+    empty token stands for the end of the line: it fails every test that
+    would move an index past it."""
+    tokens = [*tokens, ""]
+    returns, i = _parse_type(tokens, 0, line, line_no)
+    if not _is_name(tokens[i]):
+        raise _expected("function name", tokens, i, line, line_no)
+    name = tokens[i]
+    if tokens[i + 1] != "(":
+        raise _expected("'('", tokens, i + 1, line, line_no)
+    i += 2
     args: list[str] = []
-    if not (rest and rest[-1] == ")"):
-        args.append(parse_type())
-        take("parameter name", _is_name)
-        while skip(","):
-            args.append(parse_type())
-            take("parameter name", _is_name)
-    take("')'", ")".__eq__)
+    more = tokens[i] != ")"
+    while more:
+        arg, i = _parse_type(tokens, i, line, line_no)
+        if not _is_name(tokens[i]):
+            raise _expected("parameter name", tokens, i, line, line_no)
+        args.append(arg)
+        more = tokens[i + 1] == ","
+        i += 2 if more else 1
+    if tokens[i] != ")":
+        raise _expected("')'", tokens, i, line, line_no)
+    i += 1
     uses: list[int] = []
-    if skip("!"):
-        take("'uses'", "uses".__eq__)
-        take("':'", ":".__eq__)
-        take("subject type name", str.isidentifier)
-        uses.append(len(tokens) - len(rest) - 1)
-        while skip(","):
-            take("subject type name", str.isidentifier)
-            uses.append(len(tokens) - len(rest) - 1)
-    if rest:
-        take("end of line", lambda text: False)
+    if tokens[i] == "!":
+        if tokens[i + 1] != "uses":
+            raise _expected("'uses'", tokens, i + 1, line, line_no)
+        if tokens[i + 2] != ":":
+            raise _expected("':'", tokens, i + 2, line, line_no)
+        i += 3
+        more = True
+        while more:
+            if not tokens[i].isidentifier():
+                raise _expected("subject type name", tokens, i, line, line_no)
+            uses.append(i)
+            more = tokens[i + 1] == ","
+            i += 2 if more else 1
+    if tokens[i]:
+        raise _expected("end of line", tokens, i, line, line_no)
     return ComponentRecord(
         name=name,
         returns=None if returns == "void" else returns,

@@ -162,9 +162,10 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
             raise ParseError(f"missing required key {key!r}", location="document")
 
     subjects = _string_list(doc["subject_types"], "subject_types", allow_empty=False)
-    if len(set(subjects)) != len(subjects):
+    declared = set(subjects)
+    if len(declared) != len(subjects):
         raise ParseError("subject types must be unique", location="subject_types")
-    primitive = sorted({"void", "int"} & set(subjects))
+    primitive = sorted({"void", "int"} & declared)
     if primitive:
         raise ParseError(f"{primitive[0]!r} is a primitive type, not a subject type",
                          location="subject_types")
@@ -193,7 +194,7 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
         args = _string_list(entry.get("args", []), f"{where}.args", allow_empty=True)
         uses = _string_list(entry.get("uses_fields", []), f"{where}.uses_fields",
                             allow_empty=True)
-        bad = sorted(set(uses) - set(subjects))
+        bad = sorted(set(uses) - declared)
         if bad:
             raise ParseError(
                 f"unknown subject type(s) in uses_fields: {', '.join(bad)}",

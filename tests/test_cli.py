@@ -293,14 +293,27 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 # The command line's ``main`` in a fresh interpreter, then, on the last line
-# of stdout, its exit code and which of the optional modules the run loaded.
+# of stdout, its exit code (argparse's included) and the ``objident``
+# modules the run loaded.
 LOAD_SET = ("import sys\n"
             "from objident.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, sorted({'objident.declarations', 'objident.document'}"
-            " & set(sys.modules)))\n")
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('objident')))\n")
 COMPONENTS = ["cluster", "--input", STACKS, "--kind", "components"]
 DECLS = ["cluster", "--input", STACKS_DECLS, "--kind", "decls"]
+START_UP = ["objident", "objident.cli", "objident.errors"]
+PIPELINE = START_UP + ["objident.dendrogram", "objident.engine", "objident.features",
+                       "objident.ingest", "objident.metrics", "objident.report"]
+
+
+def load_set(tmp_path, argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-c", LOAD_SET, *argv], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -313,9 +326,21 @@ DECLS = ["cluster", "--input", STACKS_DECLS, "--kind", "decls"]
      ["objident.document"]),
 ])
 def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
-    src = Path(__file__).resolve().parent.parent / "src"
-    child = subprocess.run([sys.executable, "-c", LOAD_SET, *argv], cwd=tmp_path,
-                           capture_output=True, text=True,
-                           env={**os.environ, "PYTHONPATH": str(src)})
+    child = load_set(tmp_path, argv)
     assert child.stderr == ""
-    assert child.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert child.stdout.splitlines()[-1] == f"0 {sorted(PIPELINE + loaded)}"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["cluster", "--kind", "components"], 2),
+])
+def test_start_up_loads_no_pipeline_module(tmp_path, argv, code):
+    child = load_set(tmp_path, argv)
+    assert child.stdout.splitlines()[-1] == f"{code} {START_UP}"
+    if code:
+        assert child.stderr.endswith(
+            "error: the following arguments are required: --input\n")
+    else:
+        assert child.stderr == ""
