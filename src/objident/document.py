@@ -1,12 +1,15 @@
-"""The structured run document: ``to_structured`` builds it as a dict and
-``structured_chunks`` yields its text.  The command line writes that text
-for ``--trace`` and ``--format structured``, and imports this module for
-those runs alone.  Both read the rounds' matrices from a walk of their
-own, ``engine.walk_rounds``, and neither recurses, for trees of any depth.
+"""The structured run document: ``structured_chunks`` yields its text, and
+``to_structured`` builds it as a dict whose rounds are read back from that
+text.  The command line writes the text for ``--trace`` and ``--format
+structured``, and imports this module for those runs alone.  The rounds'
+matrices come from a walk of their own, ``engine.walk_rounds``.  Only
+``json.loads`` recurses, over the rounds' 7 levels, so trees of any depth
+work.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
@@ -39,22 +42,6 @@ def _node_doc(d: Dendrogram) -> dict:
                    round=node.round_index, children=kids)
         stack.extend(zip(d.ordered_children(nid), kids))
     return root
-
-
-def _round_doc(r: "MergeRound") -> dict:
-    """A round's entry in ``rounds``, less its ``matrix``."""
-    return {
-        "round": r.round_index,
-        "min_display": r.min_key.display,
-        "min_key": _key_doc(r.min_key.key),
-        "merges": [
-            {
-                "label": m.new.label,
-                "member_labels": [c.label for c in m.constituents],
-            }
-            for m in r.merges
-        ],
-    }
 
 
 # The line break and indent before an item at each depth of the document.
@@ -109,18 +96,14 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
     ``dendrogram``; ``schema``, ``pattern_matrix``, and ``report`` sections
     are included when the corresponding inputs are given.
 
-    This is the document's dict view and the reference for its text:
     ``canonical_json`` of it is exactly the text that ``structured_chunks``
-    yields, which is what the command line writes, but it renders every
-    cell's ``{num, den}`` on its own, so ``structured_chunks`` is the fast
-    way to that text.  Like ``structured_chunks``, it reads the snapshots
-    from a walk of its own, ``engine.walk_rounds``, never from
-    ``MergeRound.matrix_after``: the walk's two tables, of each cell's
-    display string and of its ``{num, den}`` dict, follow the merges and
-    each round gets a copy of them, so a sequential run's O(n^3) cells
-    take O(n^2) lookups.  Each is made once per distinct distance, so all
-    cells at the same distance share one dict object.  The nested
-    ``dendrogram`` is built without recursion, for trees of any depth.
+    yields, which is what the command line writes.  Its ``rounds`` are
+    that text read back by ``json.loads``, so the text's builder is the one
+    builder of the rounds and every cell has a dict of its own.  That costs
+    the whole text of the rounds at once and then a dict per cell, many
+    times the time and memory of ``structured_chunks``, which is the way to
+    the text.  The rounds nest 7 deep, and the nested ``dendrogram`` is
+    built without recursion, for trees of any depth.
     """
     doc: dict = {}
     if schema is not None:
@@ -137,13 +120,7 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
             "col_labels": list(pattern.col_labels),
             "rows": [[row >> c & 1 for c in range(pattern.n_cols)] for row in pattern.rows],
         }
-    doc["rounds"] = [
-        dict(_round_doc(r), matrix={
-            "labels": [c.label for c in active],
-            "display_values": list(map(list.copy, display_rows[1:])),
-            "exact_keys": list(map(list.copy, key_rows[1:]))})
-        for r, active, (display_rows, key_rows) in walk_rounds(
-            trace, lambda e: e.display, lambda e: _key_doc(e.key))]
+    doc["rounds"] = json.loads("".join(_rounds_text(trace))) if trace else []
     doc["dendrogram"] = _node_doc(d)
     if report is not None:
         doc["report"] = report.to_doc()

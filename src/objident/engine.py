@@ -50,7 +50,7 @@ import enum
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heapreplace
 from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -132,8 +132,9 @@ class MergeRound(NamedTuple("MergeRound", [
         time when rounds are read in order (an earlier round starts the
         walk again), its ``cells`` dict only when read.  Hold on to the
         result to read it twice.  This is the library's reader:
-        ``document.to_structured`` and ``structured_chunks`` never call
-        it, and read instead the tables of a ``walk_rounds`` of their own."""
+        ``document.structured_chunks``, and ``to_structured`` through it,
+        never call it, and read instead the tables of a ``walk_rounds`` of
+        their own."""
         return self._replay.matrix_after(self.round_index)
 
 
@@ -326,28 +327,20 @@ def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:
             for p, a in enumerate(rows)]
 
 
-class _ExactKeys(dict):
-    """Int distance -> ExactDissimilarity, made on first use by
+def _exact(metric: Metric, width: int, key: int) -> ExactDissimilarity:
+    """The ``ExactDissimilarity`` of the int distance ``key``, by
     ``metrics.distance`` on two made-up rows of ``width`` columns whose
     mismatch and either-set counts the int stands for."""
-
-    def __init__(self, metric: Metric, width: int):
-        super().__init__()
-        self._metric, self._width = metric, width
-
-    def __missing__(self, key: int) -> ExactDissimilarity:
-        width = self._width
-        if self._metric is Metric.JACCARD and key:
-            # Invert key = floor(x * W^2 / u): at the first u where
-            # x = ceil(key * u / W^2) gives the key back, x/u is its fraction.
-            scale = width * width
-            u = next(u for u in range(1, width + 1) if -(-key * u // scale) * scale // u == key)
-            x = -(-key * u // scale)
-        else:
-            x = u = key
-        row = [1] * u + [0] * (width - u)
-        value = self[key] = distance(self._metric, [0] * x + row[x:], row)
-        return value
+    if metric is Metric.JACCARD and key:
+        # Invert key = floor(x * W^2 / u): at the first u where
+        # x = ceil(key * u / W^2) gives the key back, x/u is its fraction.
+        scale = width * width
+        u = next(u for u in range(1, width + 1) if -(-key * u // scale) * scale // u == key)
+        x = -(-key * u // scale)
+    else:
+        x = u = key
+    row = [1] * u + [0] * (width - u)
+    return distance(metric, [0] * x + row[x:], row)
 
 
 class _Replay:
@@ -363,7 +356,7 @@ class _Replay:
             raise ValidationError("clustering needs at least 2 pattern rows")
         self.pattern, self.metric = pattern, metric
         self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
-        self.exact = _ExactKeys(metric, pattern.n_cols)
+        self.exact = _Memo(partial(_exact, metric, pattern.n_cols))
         self.keys = [0] * pattern.n_rows
         self.table = _Triangle(self)
 

@@ -4,32 +4,36 @@
 level.  On a sparse input it finds the pairs that share a column through a
 column index and takes every other pair's level from the two row weights;
 with ``dense=True`` it computes every pair.  This script runs the walk with
-each source on the benchmark generator's random and dup-heavy corpora at
-n=5,000, under Euclidean/sequential and Jaccard/paper, and compares every
-merge: its round, new id, constituents' ids and exact height.  It exits
-non-zero if any run differs, or if a corpus is dense enough that the
-default source would list every pair too.  pytest does not collect it: one
-run takes about a minute and 0.4 GB, most of both for the dense source.
+each source under Euclidean/sequential and Jaccard/paper, and compares
+every merge: its round, new id, constituents' ids and exact height.  The
+corpora are the shapes of ``tests/test_reference_net.py``:
+
+* random, dups, star, identical and all-zero at n=5,000, with the default
+  source, which must find each of them sparse;
+* chain at n=600, with the column index forced (``dense=False``).  The
+  default source treats a chain as dense, and a forced index on it takes
+  O(n^3) time, so it runs smaller.
+
+It exits non-zero if any run differs, or if a corpus of the first kind is
+dense enough that the default source would list every pair too.  pytest
+does not collect it: one run takes about a minute and a half and 0.6 GB,
+most of both for the dense source.
 
     PYTHONPATH=src python tests/check_pair_sources.py [--n 5000]
 """
 
 import argparse
 import functools
-import importlib.util
 import sys
 import time
-from pathlib import Path
 
-from objident import MergePolicy, Metric, build_pattern_matrix, derive_relations, parse_components
+from objident import MergePolicy, Metric
 from objident import engine
 
-_CORPUS_PY = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-_spec = importlib.util.spec_from_file_location("bench_corpus", _CORPUS_PY)
-bench_corpus = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_corpus)
+from test_reference_net import SHAPES
 
-SHAPES = {"random": 0.0, "dups": 0.5}
+SPARSE = ("random", "dups", "star", "identical", "all-zero")
+CHAIN_N = 600
 RUNS = ((Metric.EUCLIDEAN, MergePolicy.SEQUENTIAL), (Metric.JACCARD, MergePolicy.PAPER_REPRO))
 
 
@@ -52,27 +56,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=5000)
     args = parser.parse_args(argv)
+    checks = [(shape, args.n, engine._levels) for shape in SPARSE]
+    checks.append(("chain", CHAIN_N, functools.partial(engine._levels, dense=False)))
     failed = False
-    for shape, dup_rate in SHAPES.items():
-        subjects, records = parse_components(bench_corpus.to_components(
-            bench_corpus.generate(args.n, dup_rate, args.n)))
-        pattern = build_pattern_matrix(records, derive_relations(subjects))
+    for shape, n, source in checks:
+        pattern = SHAPES[shape](n)
         listed, pairs = index_pairs(pattern)
-        if listed > pairs:
+        if source is engine._levels and listed > pairs:
             print(f"{shape}: the index lists {listed} pairs of {pairs}; not a sparse input")
             failed = True
             continue
         for metric, policy in RUNS:
             start = time.perf_counter()
-            sparse = merges(pattern, metric, policy, engine._levels)
+            sparse = merges(pattern, metric, policy, source)
             middle = time.perf_counter()
             dense = merges(pattern, metric, policy, functools.partial(engine._levels, dense=True))
             end = time.perf_counter()
             same = sparse == dense
             failed |= not same
-            print(f"{shape} n={args.n} {metric.value}/{policy.value}: "
+            print(f"{shape} n={n} {metric.value}/{policy.value}: "
                   f"{'same' if same else 'DIFFERENT'} {len(sparse)} merges "
-                  f"(sparse {middle - start:.1f} s, dense {end - middle:.1f} s)")
+                  f"(sparse {middle - start:.1f} s, dense {end - middle:.1f} s)", flush=True)
     return 1 if failed else 0
 
 

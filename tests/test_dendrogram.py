@@ -381,7 +381,11 @@ def test_structured_chunks_join_to_the_documents_text(rows, include):
             sections = {name: value for name, value, wanted in zip(
                 ("schema", "pattern", "report"), (schema, pattern, report), include) if wanted}
             text = "".join(structured_chunks(dend, trace, **sections))
-            assert text == canonical_json(to_structured(dend, trace, **sections))
+            doc = to_structured(dend, trace, **sections)
+            # The chunks against every cell read through matrix_after, and
+            # the dict API's round trip of them.
+            assert text == reference_text(dend, trace, doc)
+            assert text == canonical_json(doc)
             # The last round leaves one cluster and an empty matrix.
             assert text.count('"display_values": []') == 1
 

@@ -503,10 +503,10 @@ def test_exact_keys_invert_every_int(metric):
     for width in range(metric is Metric.SIMPLE_MATCHING, 41):
         rows = [(1,) * v + (0,) * (width - v) for v in range(width + 1)]
         ints = pair_ints(make_pattern(rows), metric)
-        exact = engine._ExactKeys(metric, width)
         for u in range(width + 1):
             for x in range(u + 1):
-                assert exact[ints[u - x][u]] == distance(metric, rows[u - x], rows[u]), \
+                assert engine._exact(metric, width, ints[u - x][u]) == distance(
+                    metric, rows[u - x], rows[u]), \
                     (width, x, u)
 
 
@@ -632,8 +632,7 @@ def test_pair_source_computes_only_what_the_walk_reaches(monkeypatch, metric, po
     assert sum(computed) == overlapping < distinct * (distinct - 1) // 2
     # No level past the last merge is listed, nor are its pairs looked for,
     # though the row weights make levels above it.
-    exact = engine._ExactKeys(metric, pattern.n_cols)
-    assert exact[listed[-1]] == trace[-1].min_key
+    assert engine._exact(metric, pattern.n_cols, listed[-1]) == trace[-1].min_key
     assert listed == sorted(set(listed)) and all(key <= listed[-1] for key in apart)
     if metric is Metric.JACCARD:
         assert trace[-1].min_key.key < 1 and not apart
