@@ -117,10 +117,12 @@ def _parse_height(h, error=ValidationError) -> Fraction:
     ``ingest.parse_cut_spec``, or ``error`` at once: the exponent of a text
     or a ``Decimal`` is bounded before its power of ten is built, so are a
     ``Decimal``'s digits, and then their numerator and denominator, so that
-    a run's summary can print them.  NaN and infinities are refused."""
+    a run's summary can print them.  NaN, infinities and a text with a
+    ``_``, which ``Fraction`` reads only from Python 3.11 on, are refused."""
     text, decimal = isinstance(h, str), isinstance(h, Decimal)
     try:
-        if text and "e" in h.lower() and abs(int(h.lower().rpartition("e")[2])) > _DIGIT_LIMIT:
+        if text and ("_" in h or "e" in h.lower()
+                     and abs(int(h.lower().rpartition("e")[2])) > _DIGIT_LIMIT):
             raise ValueError
         if decimal:
             _, digits, exponent = h.as_tuple()

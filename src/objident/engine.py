@@ -23,9 +23,11 @@ when it reaches the level.  Only the pairs of distinct rows that share a
 column get an int, found through a column -> rows index as in all-pairs
 similarity search (Bayardo, Ma & Srikant, WWW 2007).  Any other pair's int
 follows from the two row weights (w_a + w_b, or the top level under
-Jaccard), and such a level is listed, one pair per two clusters that hold
-such a pair, only when the walk gets there.  So time and memory follow the
-pairs that share a column and the clusters at the levels reached, not n^2.
+Jaccard).  Such a level is listed only when the walk gets there, and then
+the weights alone name its pairs, one per two clusters with rows of weights
+of that sum: two rows that share a column are below that sum, so in one
+cluster by then.  So time and memory follow the pairs that share a column
+and the clusters at the levels reached, not n^2.
 Rows dense enough that the index would list more pairs than there are get
 every pair's int instead, O(n^2) time and memory, and only the pairs up to
 the last merge, found from a spanning tree, are sorted into levels.
@@ -216,14 +218,13 @@ def _levels(pattern: PatternMatrix, metric: Metric, classes: list[list[int]],
 
     A pair that shares a column is found through a column -> classes index
     and its int computed by ``_row_ints``.  Any other pair's int is fixed by
-    the two row weights: w_a + w_b, or under Jaccard the top level W^2; at
-    such a level the clusters that hold such a pair are found from the
-    clusters' rows when the level is reached, and the level also lists the
-    pair (0, 0), which the walk skips.  Unless ``dense`` is False, an input
-    whose index would list more pairs than there are (dense rows, such as a
-    chain's) has every pair computed instead, as ``dense`` True asks; then
-    the levels stop at the longest edge of a spanning tree, which no merge
-    is above."""
+    the two row weights: w_a + w_b, or under Jaccard the top level W^2;
+    ``_apart_pairs`` names such a level's pairs from the clusters' class
+    weights when it is reached, and the level also lists the pair (0, 0),
+    which the walk skips.  Unless ``dense`` is False, an input whose index
+    would list more pairs than there are (dense rows, such as a chain's) has
+    every pair computed instead, as ``dense`` True asks; then the levels
+    stop at the longest edge of a spanning tree, which no merge is above."""
     rows = [pattern.rows[ids[0]] for ids in classes]
     weights = [a.bit_count() for a in rows]
     count, width, jaccard = len(rows), pattern.n_cols, metric is Metric.JACCARD
@@ -289,33 +290,29 @@ def _levels(pattern: PatternMatrix, metric: Metric, classes: list[list[int]],
     for key, group in groupby(packed, level_shift.__rrshift__):
         pairs = map(divmod, map(pair_bits.__and__, group), repeat(1 << shift))
         if key in apart:
-            pairs = chain(pairs, _apart_pairs(key, inside, rows, None if jaccard else weights))
+            pairs = chain(pairs, _apart_pairs(key, inside, None if jaccard else weights))
         yield key, pairs
 
 
-def _apart_pairs(key: int, inside: dict[int, list[int]], rows: list[int],
+def _apart_pairs(key: int, inside: dict[int, list[int]],
                  weights: list[int] | None) -> Iterator[tuple[int, int]]:
-    """One class pair for each two clusters of ``inside`` that hold a pair
-    of classes with no column in common at level ``key``: weights that sum
-    to ``key``, or any pair if ``weights`` is ``None`` (Jaccard).  It reads
-    ``inside`` as it stands when the first pair is asked for."""
-    # tier -> cluster -> [the OR of its rows there, those rows]
-    tiers: dict[int, dict[int, list]] = defaultdict(dict)
+    """One class pair for each two clusters of ``inside`` that hold classes
+    whose weights sum to ``key``, or for each two clusters if ``weights``
+    is ``None`` (Jaccard's top level), read from ``inside`` as it stands
+    when the first pair is asked for.  No pair is tested for a column in
+    common: two rows that share one are below the sum of their weights
+    (below the top under Jaccard), and the walk asks for a level only when
+    every pair below it is inside one cluster (Gower & Ross)."""
+    # weight -> cluster -> the cluster's name, its first class
+    tiers: dict[int, dict[int, int]] = defaultdict(dict)
     for c, ps in inside.items():
         for p in ps:
-            entry = tiers[weights[p] if weights else 0].setdefault(c, [0, []])
-            entry[0] |= rows[p]
-            entry[1].append(rows[p])
+            tiers[weights[p] if weights else 0][c] = ps[0]
     for s, left in tiers.items():
         t = key - s if weights else s
-        if s > t or t not in tiers:
-            continue
-        right = tiers[t].items()
-        for c, (cu, cs) in left.items():
-            name = inside[c][0]
-            yield from ((name, inside[d][0]) for d, (du, ds) in right
-                        if (c < d if s == t else c != d)
-                        and (not cu & du or any(not a & b for a in cs for b in ds)))
+        if s <= t and t in tiers:
+            yield from ((name, other) for c, name in left.items() for d, other in tiers[t].items()
+                        if (c < d if s == t else c != d))
 
 
 def _leaf_table(pattern: PatternMatrix, metric: Metric) -> list[list[int]]:

@@ -420,10 +420,11 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         if config.report_path is not None:
             report = label_clusters(partition, pattern, schema)
 
-    # Only --trace and --format structured import the document's module;
-    # the document is rendered once even if both outputs ask for it.
+    # Only a trace or a structured dendrogram to write imports the document's
+    # module; the document is rendered once even if both outputs ask for it.
     structured = None
-    if config.trace_path is not None or config.dendrogram_format is DendrogramFormat.STRUCTURED:
+    if config.trace_path is not None or (config.dendrogram_path is not None and
+                                         config.dendrogram_format is DendrogramFormat.STRUCTURED):
         from .document import structured_chunks
         structured = structured_chunks(dend, trace, schema=schema, pattern=pattern,
                                        report=report)

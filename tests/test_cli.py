@@ -97,10 +97,12 @@ def test_bad_cut_spec_is_config_error(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300"])
+@pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
+                                    "1_0", "1e1_0"])
 def test_unusable_cut_height_is_config_error_at_once(tmp_path, capsys, height):
-    # An exponent is bounded before its power of ten is built, and a height
-    # the summary could not print (10**4300 has 4,301 digits) is refused.
+    # An exponent is bounded before its power of ten is built, a height the
+    # summary could not print (10**4300 has 4,301 digits) is refused, and so
+    # is a "_", which Fraction reads only from Python 3.11 on.
     start = time.perf_counter()
     code = main(cluster_args(tmp_path, "--cut", f"h:{height}"))
     assert time.perf_counter() - start < 1
@@ -324,6 +326,8 @@ def load_set(tmp_path, argv):
     (COMPONENTS + ["--trace", "trace.json"], ["objident.document"]),
     (COMPONENTS + ["--dendrogram", "tree.json", "--format", "structured"],
      ["objident.document"]),
+    # A structured format with no dendrogram to write renders no document.
+    (COMPONENTS + ["--format", "structured"], []),
 ])
 def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
     child = load_set(tmp_path, argv)

@@ -127,7 +127,7 @@ def test_cut_height_rejects_bad_input(stacks_tree):
 @pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
                                     float("inf"), float("nan"), Decimal("1e99999999"),
                                     Decimal("1e-99999999"), Decimal("NaN"),
-                                    Decimal("Infinity")])
+                                    Decimal("Infinity"), "1_0", "1e1_0"])
 def test_cut_height_refuses_unusable_heights_at_once(stacks_tree, height):
     start = time.perf_counter()
     with pytest.raises(ValidationError, match="invalid cut height"):

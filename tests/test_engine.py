@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -565,12 +566,18 @@ def test_pair_ints_with_planted_copies_match_per_pair_ints(metric):
         distinct = [rows[ids[0]] for ids in engine._row_classes(pattern)]
         every = sorted((per_pair_int(metric, distinct[p], distinct[q]), p, q)
                        for p, q in itertools.combinations(range(len(distinct)), 2))
-        # The sparse source lists each pair of distinct rows once, at its
-        # int, with the levels ascending and each level listed once: the
-        # pairs that share a column from the index, the others (one per two
-        # clusters, and each class is a cluster here) from the row weights.
+        # The sparse source lists each pair of distinct rows at its int, with
+        # the levels ascending and each level listed once: the pairs that
+        # share a column from the index, the others from the row weights.
+        # A level of the weights gets one pair per two clusters (each class
+        # is one here, as drain merges nothing) with classes of weights of
+        # that sum, every two under Jaccard, whether they share a column or
+        # not; those that do are below that level, where a walk merges them.
         listed, keys = drain(pattern, metric, dense=False)
-        assert sorted(listed) == every
+        assert len(set(listed)) == len(listed) and set(every) <= set(listed)
+        for key, p, q in set(listed) - set(every):
+            level = width * width if metric is Metric.JACCARD else sum(distinct[p] + distinct[q])
+            assert key == level > per_pair_int(metric, distinct[p], distinct[q]), (key, p, q)
         assert keys == sorted(set(keys))
         # The dense source computes every pair, and lists those up to the
         # last merge, which no later level can hold.
@@ -639,3 +646,34 @@ def test_pair_source_computes_only_what_the_walk_reaches(monkeypatch, metric, po
     else:
         weights = {row.bit_count() for row in pattern.rows}
         assert apart and max(weights) * 2 > listed[-1]
+
+
+@pytest.mark.parametrize("policy", list(MergePolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+def test_implicit_levels_meet_no_two_clusters_that_share_a_column(monkeypatch, metric, policy):
+    # _apart_pairs names a level's pairs from the class weights alone: two
+    # rows that share a column are below the sum of their weights (the top
+    # level under Jaccard), so the walk has put them in one cluster before
+    # it asks for that level.
+    from test_reference_net import chain, generated, star
+
+    apart_pairs, calls = engine._apart_pairs, []
+
+    def checked(key, inside, weights):
+        calls.append(key)
+        at = {p: c for c, ps in inside.items() for p in ps}
+        for p, q in itertools.combinations(at, 2):
+            if at[p] != at[q] and (weights is None or weights[p] + weights[q] == key):
+                assert not rows[p] & rows[q], (key, p, q)
+        yield from apart_pairs(key, inside, weights)
+
+    monkeypatch.setattr(engine, "_apart_pairs", checked)
+    reached = []
+    for pattern in (generated(200, 0.3, 28), star(101), chain(60)):
+        rows = [pattern.rows[ids[0]] for ids in engine._row_classes(pattern)]
+        engine._cluster(pattern, metric, policy, partial(engine._levels, dense=False))
+        reached.append(bool(calls))
+        calls.clear()
+    # The generated corpus ends below Jaccard's top level, its one level of
+    # the weights; the star and the chain reach one under every metric.
+    assert reached == [metric is not Metric.JACCARD, True, True]

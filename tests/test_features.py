@@ -51,6 +51,8 @@ def test_derive_relations_duplicate_subject():
 def test_derive_relations_empty():
     with pytest.raises(ValidationError):
         derive_relations([])
+    with pytest.raises(ValidationError, match="names must be non-empty"):
+        derive_relations(["stack", ""])
 
 
 @pytest.mark.parametrize("primitive", ["void", "int"])

@@ -88,6 +88,15 @@ def test_jaccard_examples():
     assert distance(Metric.JACCARD, (0, 0, 0), (0, 0, 0)).key == 0
 
 
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+def test_within_height_admits_nothing_below_zero(metric):
+    # Euclidean squares the threshold, so -1 would otherwise admit 1.
+    for a, b in [((0, 1), (0, 1)), ((0, 1), (1, 1)), ((0, 1), (1, 0))]:
+        d = distance(metric, a, b)
+        assert d.within_height(Fraction(2))
+        assert not d.within_height(Fraction(-1)) and not d.within_height(Fraction(-1, 2))
+
+
 def test_metric_name_is_refused():
     # Compared by identity, a name would fall through to the mismatch count.
     for metric in ("jaccard", "smc", None):
