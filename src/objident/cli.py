@@ -1,9 +1,18 @@
 """Command-line entry points: ``cluster`` runs the pipeline, ``parse``
-converts a declaration file into a components document."""
+converts a declaration file into a components document.
+
+``run`` is the process's entry point (the ``objident`` console script and
+``python -m objident.cli``): it runs ``main`` and, however the process
+ends, moves every object still alive into the collector's permanent
+generation, so the interpreter's finalization does not walk a finished
+run's objects only to free them when the process exits anyway.  ``main``
+never freezes: tests and library callers run it in process, where the
+objects it leaves behind must stay collectable."""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -39,9 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the structured run document (JSON)")
     cluster.add_argument("--dendrogram", type=Path, metavar="PATH",
                          help="write the merge tree")
-    cluster.add_argument("--format", dest="dendrogram_format", default="ascii",
+    cluster.add_argument("--format", dest="dendrogram_format",
                          choices=["ascii", "dot", "structured"],
-                         help="dendrogram output format (default: ascii)")
+                         help="dendrogram output format (requires --dendrogram; "
+                              "default: ascii)")
     cluster.add_argument("--report", type=Path, metavar="PATH",
                          help="write the candidate-object report (requires --cut)")
 
@@ -60,6 +70,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
+            if args.dendrogram_format is not None and args.dendrogram is None:
+                raise ConfigError("--format requires --dendrogram (it is the format of that file)")
             from .engine import policy_from_name
             from .ingest import DendrogramFormat, InputKind, RunConfig, execute, parse_cut_spec
             from .metrics import metric_from_name
@@ -77,7 +89,7 @@ def main(argv=None) -> int:
                 cut=parse_cut_spec(args.cut) if args.cut is not None else None,
                 trace_path=args.trace,
                 dendrogram_path=args.dendrogram,
-                dendrogram_format=DendrogramFormat(args.dendrogram_format),
+                dendrogram_format=DendrogramFormat(args.dendrogram_format or "ascii"),
                 report_path=args.report,
             ))
         else:
@@ -95,5 +107,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Exit the process with ``main``'s code over ``sys.argv``.  The freeze
+    covers every way out (``--version``, ``--help``, a usage error, an
+    ``ObjidentError`` and success): finalization still flushes the
+    standard streams, runs ``atexit`` handlers and tears down modules, but
+    no longer collects the run's objects.  ``os._exit`` would skip the
+    handlers and the flush, so it is not used."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -386,26 +386,29 @@ class _Triangle:
     counts the clusters it holds or has merged away."""
 
     def __init__(self, replay: _Replay, *views):
-        self.replay = replay
+        # The replay's fields, not the replay, which holds a triangle of its
+        # own: a cycle would keep a dropped run alive until a collection.
+        self.pattern, self.metric, self.clusters = replay.pattern, replay.metric, replay.clusters
+        exact = replay.exact
         self.rows: list[list[int]] = []
-        self.memos = [_Memo(lambda k, view=view: view(replay.exact[k])) for view in views]
+        self.memos = [_Memo(lambda k, view=view: view(exact[k])) for view in views]
         self.tables = tuple([] for _ in views)
         self.active: list[int] = []
         self.applied = 0
 
     def nodes(self) -> tuple[DendroNode, ...]:
-        return tuple(map(self.replay.clusters.__getitem__, self.active))
+        return tuple(map(self.clusters.__getitem__, self.active))
 
     def move_to(self, round_index: int) -> None:
         """Apply the merges of the rounds up to ``round_index`` (0: none),
         starting again from the leaves if it is past that round."""
-        replay, clusters = self.replay, self.replay.clusters
+        clusters, n = self.clusters, self.pattern.n_rows
         if not self.applied or (clusters[self.applied - 1].round_index or 0) > round_index:
-            self.rows = _leaf_table(replay.pattern, replay.metric)
+            self.rows = _leaf_table(self.pattern, self.metric)
             for table, memo in zip(self.tables, self.memos):
                 table[:] = [list(map(memo.__getitem__, row)) for row in self.rows]
-            self.active = list(range(replay.pattern.n_rows))
-            self.applied = replay.pattern.n_rows
+            self.active = list(range(n))
+            self.applied = n
         while self.applied < len(clusters) and clusters[self.applied].round_index <= round_index:
             self._merge(clusters[self.applied])
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -311,11 +312,15 @@ PIPELINE = START_UP + ["objident.dendrogram", "objident.engine", "objident.featu
                        "objident.ingest", "objident.metrics", "objident.report"]
 
 
-def load_set(tmp_path, argv):
+def fresh_python(cwd, *args):
+    """A fresh interpreter over ``args``, importing objident from ``src/``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run([sys.executable, "-c", LOAD_SET, *argv], cwd=tmp_path,
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def load_set(tmp_path, argv):
+    return fresh_python(tmp_path, "-c", LOAD_SET, *argv)
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -326,13 +331,20 @@ def load_set(tmp_path, argv):
     (COMPONENTS + ["--trace", "trace.json"], ["objident.document"]),
     (COMPONENTS + ["--dendrogram", "tree.json", "--format", "structured"],
      ["objident.document"]),
-    # A structured format with no dendrogram to write renders no document.
-    (COMPONENTS + ["--format", "structured"], []),
 ])
 def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
     child = load_set(tmp_path, argv)
     assert child.stderr == ""
     assert child.stdout.splitlines()[-1] == f"0 {sorted(PIPELINE + loaded)}"
+
+
+@pytest.mark.parametrize("tree_format", ["structured", "dot"])
+def test_format_without_dendrogram_is_config_error(tmp_path, tree_format):
+    # Refused before any pipeline module is imported or the input is read.
+    child = load_set(tmp_path, COMPONENTS + ["--format", tree_format])
+    assert child.stderr == ("error[config]: --format requires --dendrogram "
+                            "(it is the format of that file)\n")
+    assert child.stdout.splitlines()[-1] == f"2 {START_UP}"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -348,3 +360,77 @@ def test_start_up_loads_no_pipeline_module(tmp_path, argv, code):
             "error: the following arguments are required: --input\n")
     else:
         assert child.stderr == ""
+
+
+def run_cli(cwd, argv):
+    """``python -m objident.cli`` over ``argv`` in a fresh interpreter, so
+    through ``cli.run``."""
+    return fresh_python(cwd, "-m", "objident.cli", *argv)
+
+
+def test_entry_point_exits_with_mains_code_and_streams(tmp_path):
+    child = run_cli(tmp_path, ["--version"])
+    assert (child.returncode, child.stdout, child.stderr) == (0, f"objident {__version__}\n", "")
+    child = run_cli(tmp_path, ["--help"])
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("usage: objident")
+    child = run_cli(tmp_path, ["cluster", "--kind", "components"])
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.endswith("error: the following arguments are required: --input\n")
+    child = run_cli(tmp_path, COMPONENTS + ["--metric", "nope"])
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error[config]: unknown metric 'nope'")
+    absent = tmp_path / "absent.json"
+    child = run_cli(tmp_path, ["cluster", "--input", str(absent), "--kind", "components"])
+    assert (child.returncode, child.stdout) == (5, "")
+    assert child.stderr.startswith(f"error[io]: cannot read {absent}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entry_point_run_matches_main_in_process(tmp_path, capsys):
+    def argv(base):
+        return COMPONENTS + ["--cut", "k:2", "--report", str(base / "report.json"),
+                             "--dendrogram", str(base / "tree.txt")]
+
+    child = run_cli(tmp_path, argv(tmp_path / "child"))
+    assert (child.returncode, child.stderr) == (0, "")
+    assert main(argv(tmp_path / "parent")) == 0
+    assert child.stdout == capsys.readouterr().out
+    for name in ("report.json", "tree.txt"):
+        assert ((tmp_path / "child" / name).read_bytes()
+                == (tmp_path / "parent" / name).read_bytes())
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(cluster_args(tmp_path, "--cut", "k:2",
+                             "--report", str(tmp_path / "report.json"))) == 0
+    assert main(COMPONENTS + ["--metric", "nope"]) == 2
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+
+
+# ``cli.run`` over the arguments, then, from an ``atexit`` handler (which
+# runs after ``run`` has left), whether anything was frozen.
+FREEZE_PROBE = ("import atexit, gc\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                "from objident.cli import run\n"
+                "run()\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["cluster", "--kind", "components"], 2),
+    (["cluster", "--input", "absent.json", "--kind", "components"], 5),
+    (COMPONENTS + ["--cut", "k:2", "--report", "report.json"], 0),
+])
+def test_entry_point_freezes_on_every_way_out(tmp_path, argv, code):
+    child = fresh_python(tmp_path, "-c", FREEZE_PROBE, *argv)
+    assert (child.returncode, child.stdout.splitlines()[-1]) == (code, "frozen True")
+
+
+def test_console_script_is_run():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'objident = "objident.cli:run"'

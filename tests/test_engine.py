@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -400,6 +402,26 @@ def test_walk_rounds_calls_each_view_once_per_distinct_distance():
                     pass
                 assert [sorted(seen) for seen in calls] == [distinct, distinct]
     assert list(engine.walk_rounds((), lambda e: pytest.fail("called"))) == []
+
+
+@pytest.mark.parametrize("read", ["untouched", "matrix_after", "walk_rounds"])
+def test_dropped_result_frees_its_replay_without_a_collection(read):
+    # The replay holds its own triangle, which must not hold the replay
+    # back: a cycle would keep a dropped run alive until a collection.
+    result = cluster(make_pattern(random_rows(random.Random(36), n=12)), Metric.EUCLIDEAN)
+    if read == "matrix_after":
+        assert [len(r.matrix_after.active) for r in result.trace][-1] == 1
+    elif read == "walk_rounds":
+        assert len(list(engine.walk_rounds(result.trace, *VIEWS))) == len(result.trace)
+    replay = weakref.ref(result.trace[0]._replay)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del result
+        assert replay() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_names_for_metric_or_policy_are_refused():
