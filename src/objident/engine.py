@@ -40,10 +40,10 @@ deletes its merged clusters' rows and columns and appends a row per new
 cluster.  Next to it the walk keeps one lower triangle per *view*, a
 function of an ``ExactDissimilarity`` called once per distinct int of the
 run, and moves every triangle through the same deletions and appends.
-``walk_rounds`` hands out the view triangles and copies nothing;
-``MergeRound.matrix_after`` copies the int rows, from a walk of its own
-with no views.  Reading rounds in order costs O(active^2) each; an
-earlier round starts the walk again from the leaves.
+A run is such a walk with no views that also keeps the merge list and
+the exact memo; ``MergeRound.matrix_after`` copies its rows, and
+``walk_rounds`` walks with views of its own and copies nothing.  Read in
+order, a round costs O(active^2); an earlier one restarts from the leaves.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ class MergeRound(NamedTuple("MergeRound", [
         ("round_index", int), ("min_key", ExactDissimilarity), ("merges", tuple[Merge, ...])])):
     """One round of the engine: what merged, at what minimum, and (through
     ``matrix_after``) the proximity matrix left after all of its merges.
-    The run's replay is not a field: equality and repr leave it out."""
+    The run's triangle, ``_replay``, is not a field: equality and repr leave it out."""
 
     def __new__(cls, round_index: int, min_key: ExactDissimilarity,
-                merges: tuple[Merge, ...], replay: _Replay):
+                merges: tuple[Merge, ...], replay: _Triangle):
         self = super().__new__(cls, round_index, min_key, merges)
         self._replay = replay
         return self
@@ -129,8 +129,8 @@ class MergeRound(NamedTuple("MergeRound", [
     @property
     def matrix_after(self) -> ProximityMatrix:
         """The proximity matrix after this round's merges, rebuilt on every
-        access by the run's replay: its int ``keys`` are a copy of the rows
-        of the replay's own walk, which has no views, made in O(active^2)
+        access by the run's triangle: its int ``keys`` are a copy of the
+        rows of the triangle's walk, which has no views, made in O(active^2)
         time when rounds are read in order (an earlier round starts the
         walk again), its ``cells`` dict only when read.  Hold on to the
         result to read it twice.  This is the library's reader:
@@ -162,10 +162,10 @@ def walk_rounds(trace: Sequence[MergeRound], *views) -> Iterator[RoundRows]:
     ``trace``: the walk keeps its results, also when it starts again from
     the leaves, at a round earlier than the one before it."""
     if trace:
-        replay = trace[0]._replay
-        table = _Triangle(replay, *views)
+        run = trace[0]._replay
+        table = _Triangle(run.pattern, run.metric, run.clusters, run.exact, *views)
         for r in trace:
-            if r._replay is not replay:
+            if r._replay is not run:
                 raise ValidationError("the rounds of a trace must come from one run")
             table.move_to(r.round_index)
             yield RoundRows(r, table.nodes(), table.tables)
@@ -340,61 +340,31 @@ def _exact(metric: Metric, width: int, key: int) -> ExactDissimilarity:
     return distance(metric, [0] * x + row[x:], row)
 
 
-class _Replay:
-    """An agglomeration's merge list, ``clusters`` (tree nodes by id), the
-    int -> ``ExactDissimilarity`` map, and the walk that ``matrix_after``
-    reads; ``keys`` holds each cluster's height as the engine's int, 0 for
-    a leaf."""
-
-    def __init__(self, pattern: PatternMatrix, metric: Metric):
-        if not isinstance(metric, Metric):
-            raise ValidationError(f"metric must be a Metric, not {metric!r}")
-        if pattern.n_rows < 2:
-            raise ValidationError("clustering needs at least 2 pattern rows")
-        self.pattern, self.metric = pattern, metric
-        self.clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
-        self.exact = _Memo(partial(_exact, metric, pattern.n_cols))
-        self.keys = [0] * pattern.n_rows
-        self.table = _Triangle(self)
-
-    def record(self, group: tuple[int, ...], key: int, round_index: int) -> DendroNode:
-        """Append and return the ``DendroNode`` of a merge of ``group`` at
-        the int distance ``key``."""
-        clusters, n, height = self.clusters, self.pattern.n_rows, self.exact[key]
-        if any(self.keys[g] > key for g in group):
-            raise ValidationError(f"merge at {height.display} would sit below one of its parts")
-        new = DendroNode(len(clusters), f"C{len(clusters) - n + 1}", group, height, round_index)
-        clusters.append(new)
-        self.keys.append(key)
-        return new
-
-    def matrix_after(self, round_index: int) -> ProximityMatrix:
-        """The proximity matrix over the clusters active after a round
-        (round 0: the original rows), with a copy of the walk's rows."""
-        self.table.move_to(round_index)
-        return ProximityMatrix(self.table.nodes(), list(map(list.copy, self.table.rows)),
-                               self.exact)
-
-
 class _Triangle:
-    """The int distances between the clusters active after a round of a
-    replay, as a lower triangle: ``rows[p][q]``, q < p, is the distance
-    between the clusters of ids ``active[p]`` and ``active[q]``; and in
-    ``tables``, one triangle per view with the view of each of them, made
-    once per int by a memo kept across moves.  Built from the leaves on
-    the first move, it then only moves forward, in place; ``applied``
-    counts the clusters it holds or has merged away."""
+    """A run: its ``pattern``, ``metric``, ``clusters`` (tree nodes by id:
+    the merge list) and ``exact`` memo (int -> ``ExactDissimilarity``),
+    and the int distances between the clusters active after a round, as a
+    lower triangle: ``rows[p][q]``, q < p, is the distance between the
+    clusters of ids ``active[p]`` and ``active[q]``; and in ``tables``, one
+    triangle per view with the view of each of them, made once per int by
+    a memo kept across moves.  Built from the leaves on the first move, it
+    then only moves forward, in place; ``applied`` counts the clusters it
+    holds or has merged away."""
 
-    def __init__(self, replay: _Replay, *views):
-        # The replay's fields, not the replay, which holds a triangle of its
-        # own: a cycle would keep a dropped run alive until a collection.
-        self.pattern, self.metric, self.clusters = replay.pattern, replay.metric, replay.clusters
-        exact = replay.exact
+    def __init__(self, pattern: PatternMatrix, metric: Metric, clusters: list[DendroNode],
+                 exact: _Memo, *views):
+        self.pattern, self.metric, self.clusters, self.exact = pattern, metric, clusters, exact
         self.rows: list[list[int]] = []
         self.memos = [_Memo(lambda k, view=view: view(exact[k])) for view in views]
         self.tables = tuple([] for _ in views)
         self.active: list[int] = []
         self.applied = 0
+
+    def matrix_after(self, round_index: int) -> ProximityMatrix:
+        """The proximity matrix over the clusters active after a round
+        (round 0: the original rows), with a copy of the walk's rows."""
+        self.move_to(round_index)
+        return ProximityMatrix(self.nodes(), list(map(list.copy, self.rows)), self.exact)
 
     def nodes(self) -> tuple[DendroNode, ...]:
         return tuple(map(self.clusters.__getitem__, self.active))
@@ -435,9 +405,19 @@ class _Triangle:
         self.applied += 1
 
 
+def _leaves(pattern: PatternMatrix, metric: Metric) -> _Triangle:
+    """A new run's triangle: one leaf per pattern row, nothing merged."""
+    if not isinstance(metric, Metric):
+        raise ValidationError(f"metric must be a Metric, not {metric!r}")
+    if pattern.n_rows < 2:
+        raise ValidationError("clustering needs at least 2 pattern rows")
+    clusters = [DendroNode(i, label) for i, label in enumerate(pattern.row_labels)]
+    return _Triangle(pattern, metric, clusters, _Memo(partial(_exact, metric, pattern.n_cols)))
+
+
 def initial_proximity(pattern: PatternMatrix, metric: Metric) -> ProximityMatrix:
     """Pairwise dissimilarities between all original pattern rows."""
-    return _Replay(pattern, metric).matrix_after(0)
+    return _leaves(pattern, metric).matrix_after(0)
 
 
 def cluster(pattern: PatternMatrix, metric: Metric,
@@ -473,17 +453,24 @@ def _cluster(pattern: PatternMatrix, metric: Metric, policy: MergePolicy,
     """``cluster``, with the pairs of each level pulled from the iterator
     ``levels(pattern, metric, classes, inside)``: ``_levels`` for
     ``cluster``, or another source to check the walk against."""
-    replay = _Replay(pattern, metric)
+    run = _leaves(pattern, metric)
     if not isinstance(policy, MergePolicy):
         raise ValidationError(f"policy must be a MergePolicy, not {policy!r}")
-    clusters, n = replay.clusters, pattern.n_rows
+    clusters, n = run.clusters, pattern.n_rows
+    keys = [0] * n  # each cluster's height as the engine's int, 0 for a leaf
     trace: list[MergeRound] = []
 
     def merge_round(groups: list[tuple[int, ...]], key: int) -> list[int]:
-        height = replay.exact[key]
-        merges = [Merge(replay.record(group, key, len(trace) + 1),
-                        tuple(map(clusters.__getitem__, group))) for group in groups]
-        trace.append(MergeRound(len(trace) + 1, height, tuple(merges), replay))
+        height, merges, index = run.exact[key], [], len(trace) + 1
+        for group in groups:
+            if any(keys[g] > key for g in group):
+                raise ValidationError(
+                    f"merge at {height.display} would sit below one of its parts")
+            new = DendroNode(len(clusters), f"C{len(clusters) - n + 1}", group, height, index)
+            merges.append(Merge(new, tuple(map(clusters.__getitem__, group))))
+            clusters.append(new)
+            keys.append(key)
+        trace.append(MergeRound(index, height, tuple(merges), run))
         return [new.id for new, _ in merges]
 
     classes = _row_classes(pattern)

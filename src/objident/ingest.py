@@ -136,6 +136,17 @@ def _string_list(value, location: str, *, allow_empty: bool) -> list[str]:
 _COMPONENT_KEYS = {"name", "returns", "args", "uses_fields"}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a repeated key, whose last value
+    ``json.loads`` would keep silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r}", location="document")
+        obj[key] = value
+    return obj
+
+
 def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord, ...]]:
     """Parse a components document into subject types plus records.
 
@@ -143,7 +154,7 @@ def parse_components(text: str) -> tuple[tuple[str, ...], tuple[ComponentRecord,
     malformed JSON, the line and column).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc

@@ -248,6 +248,17 @@ def test_unreadable_json_is_parse_error(tmp_path, capsys, text, message):
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def test_repeated_key_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"subject_types": ["stack"], '
+                   '"components": [{"name": "f", "uses_fields": [], "name": "g"}]}')
+    code = main(["cluster", "--input", str(bad), "--kind", "components",
+                 "--trace", str(tmp_path / "t.json")])
+    assert code == 3
+    assert "error[parse]: document: repeated key 'name'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("text, message", [
     ("int g(int a)\n", "line 1: no subject type"),
     ("", "line 1: expected a function prototype, found end of input"),

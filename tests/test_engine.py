@@ -406,8 +406,10 @@ def test_walk_rounds_calls_each_view_once_per_distinct_distance():
 
 @pytest.mark.parametrize("read", ["untouched", "matrix_after", "walk_rounds"])
 def test_dropped_result_frees_its_replay_without_a_collection(read):
-    # The replay holds its own triangle, which must not hold the replay
-    # back: a cycle would keep a dropped run alive until a collection.
+    # Each round holds the run's triangle, and nothing the triangle holds
+    # (its nodes, memos, or a walk_rounds triangle) may hold a round or the
+    # triangle back: a cycle would keep a dropped run alive until a
+    # collection.
     result = cluster(make_pattern(random_rows(random.Random(36), n=12)), Metric.EUCLIDEAN)
     if read == "matrix_after":
         assert [len(r.matrix_after.active) for r in result.trace][-1] == 1
@@ -492,17 +494,25 @@ def test_merge_below_its_parts_is_rejected():
     # Single linkage never does this; the guard keeps cut_height's use of a
     # node's own height as its subtree's maximum sound.  It compares the
     # engine's ints, whose order must be the heights' under every metric.
+    # A level source of its own merges rows 0 and 2 at their distance, then
+    # row 1 into that cluster at `second`.
     pattern = make_pattern([(0, 0, 1), (0, 1, 1), (1, 1, 1)])
-    for metric in Metric:
-        replay = engine._Replay(pattern, metric)
+    for metric, policy in itertools.product(Metric, MergePolicy):
         (near,), (far, _) = engine._leaf_table(pattern, metric)[1:]
-        assert replay.exact[near] < replay.exact[far]
-        first = replay.record((0, 2), far, 1)
-        message = f"merge at {replay.exact[near].display} would sit below one of its parts"
+        cells = initial_proximity(pattern, metric).cells
+        assert cells[0, 1] < cells[0, 2]
+
+        def walk(second):
+            source = [(far, [(0, 2)]), (second, [(1, 0)])]
+            return engine._cluster(pattern, metric, policy, lambda *_: iter(source))
+
+        message = f"merge at {cells[0, 1].display} would sit below one of its parts"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            replay.record((1, first.id), near, 2)
+            walk(near)
         # A merge at its part's own height is allowed: a level's merges share it.
-        assert replay.record((1, first.id), far, 2).height == replay.exact[far]
+        trace = walk(far).trace
+        assert [[m.new.children for m in r.merges] for r in trace] == [[(0, 2)], [(1, 3)]]
+        assert [r.min_key for r in trace] == [cells[0, 2]] * 2
 
 
 def test_name_resolution_helpers():

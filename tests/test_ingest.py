@@ -80,6 +80,11 @@ def test_parse_components_defaults_optional_fields():
     (components_text(components=[{"name": "f", "args": [1]}]), "non-empty strings"),
     (components_text(components=[{"name": "f", "uses_fields": ["heap"]}]),
      "unknown subject type"),
+    # A repeated key, which json.loads would read as its last value.
+    ('{"subject_types": ["stack"], "subject_types": ["queue"], "components": [{"name": "f"}]}',
+     "document: repeated key 'subject_types'"),
+    ('{"subject_types": ["stack"], "components": [{"name": "f", "name": "g"}]}',
+     "document: repeated key 'name'"),
 ])
 def test_parse_components_schema_violations(text, fragment):
     with pytest.raises(ParseError) as info:

@@ -178,6 +178,9 @@ def test_ordering_is_exact_and_same_metric_only():
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(ValueError, match="cannot order smc against euclidean"):
             compare(small, other)
+        # Against a number the ordering is not defined, as for any object.
+        with pytest.raises(TypeError, match="not supported"):
+            compare(small, 1)
 
 
 def test_metric_from_name():
