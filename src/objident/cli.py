@@ -49,9 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--dendrogram", type=Path, metavar="PATH",
                          help="write the merge tree")
     cluster.add_argument("--format", dest="dendrogram_format",
-                         choices=["ascii", "dot", "structured"],
-                         help="dendrogram output format (requires --dendrogram; "
-                              "default: ascii)")
+                         choices=["ascii", "dot"],
+                         help="merge tree format (requires --dendrogram; default: "
+                              "ascii); the run document is --trace")
     cluster.add_argument("--report", type=Path, metavar="PATH",
                          help="write the candidate-object report (requires --cut)")
 

@@ -1,10 +1,9 @@
 """The structured run document: ``structured_chunks`` yields its text, and
 ``to_structured`` builds it as a dict whose rounds are read back from that
-text.  The command line writes the text for ``--trace`` and ``--format
-structured``, and imports this module for those runs alone.  The rounds'
-matrices come from a walk of their own, ``engine.walk_rounds``.  Only
-``json.loads`` recurses, over the rounds' 7 levels, so trees of any depth
-work.
+text.  The command line writes the text for ``--trace``, and imports this
+module for those runs alone.  The rounds' matrices come from a walk of
+their own, ``engine.walk_rounds``.  Only ``json.loads`` recurses, over the
+rounds' 7 levels, so trees of any depth work.
 """
 
 from __future__ import annotations

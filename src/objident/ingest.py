@@ -15,7 +15,6 @@ import enum
 import errno
 import json
 import os
-import shutil
 import sys
 import tempfile
 from fractions import Fraction
@@ -51,8 +50,8 @@ def json_chunks(doc, depth: int = 0) -> Iterator[str]:
     """
     open_ids: set[int] = set()
     # Frames: [items iterator, is a dict, the container, whether an item has
-    # been written]; the items of the frame at stack[k] stand at level k + 1.
-    # Each indent is made where it is written, not kept per level: the
+    # been yielded]; the items of the frame at stack[k] stand at level k + 1.
+    # Each indent is made where it is yielded, not kept per level: the
     # indents of all levels grow with the square of the depth.
     stack: list[list] = []
 
@@ -239,15 +238,13 @@ _WRITE_BUFFER = 1 << 20
 
 def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]) -> None:
     """Write each (path, text) pair to a sibling temp file, then rename them
-    all.  A text is a ``str`` or an iterable of ``str`` chunks, which is
-    consumed as it is written, so it need never be held whole.  A text
-    object given for more than one path is written once, to the first
-    path's temp file, which each later path's temp file copies.  Nothing is
-    renamed until every write has succeeded, and a failure, in a write, a
-    copy or in making a chunk, removes every temp file and then every
+    all.  A text is a ``str`` or an iterable of ``str`` chunks, which its
+    one path consumes chunk by chunk, so it need never be held whole.
+    Nothing is renamed until every write has succeeded, and a failure, in
+    a write or in making a chunk, removes every temp file and then every
     directory the call made, deepest first, so a failed call leaves no
     output behind.  A target that exists but is not a regular file is
-    refused before anything is written: a directory would fail only at its
+    refused before any write: a directory would fail only at its
     rename, and a FIFO, socket or device would be replaced by it.  Each
     file gets the mode a plain ``open(path, "w")`` would give it, 0o666
     less the umask."""
@@ -256,7 +253,6 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]
     outputs = [(Path(path), text) for path, text in outputs]
     staged: list[tuple[str, Path]] = []
     made: list[Path] = []
-    written: dict[int, str] = {}  # id of a text -> the temp file it went to
     path = None
     try:
         try:
@@ -274,13 +270,10 @@ def write_texts_atomic(outputs: Iterable[tuple[Path | str, str | Iterable[str]]]
                 staged.append((tmp, path))
                 with os.fdopen(fd, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as handle:
                     os.fchmod(fd, 0o666 & ~umask)
-                    if id(text) in written:
-                        shutil.copyfile(written[id(text)], tmp)
-                    elif isinstance(text, str):
+                    if isinstance(text, str):
                         handle.write(text)
                     else:
                         handle.writelines(text)
-                written.setdefault(id(text), tmp)
             for tmp, path in staged:
                 os.replace(tmp, path)
         except BaseException:
@@ -313,7 +306,6 @@ class InputKind(enum.Enum):
 class DendrogramFormat(enum.Enum):
     ASCII = "ascii"
     DOT = "dot"
-    STRUCTURED = "structured"
 
 
 def parse_cut_spec(text: str) -> tuple[str, int | Fraction]:
@@ -322,8 +314,11 @@ def parse_cut_spec(text: str) -> tuple[str, int | Fraction]:
     if not sep or mode not in ("k", "h"):
         raise ConfigError(f"invalid cut spec {text!r} (expected k:<int> or h:<decimal>)")
     if mode == "k":
+        digits = value.removeprefix("-")  # int() also takes "1_0", " 5", "+5" and "٣"
         try:
-            size = int(value)
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            size = int(value)  # and refuses a count past its digit limit
         except ValueError:
             raise ConfigError(f"invalid cut size {value!r}") from None
         if size < 1:
@@ -391,19 +386,16 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
     """Run the pipeline, writing outputs and a stdout summary.
 
     Raises ObjidentError subclasses on any failure; output files are
-    written only after the clustering, cut and report have succeeded, and
-    together: none appears unless all of them could be written.  Only a
-    ``decls`` run imports ``declarations``, and only a run that writes the
-    structured document (``--trace``, ``--format structured``) imports
-    ``document``, so no run compiles a module it does not use.  The
-    document is rendered while it is written, by
+    made only after the clustering, cut and report have succeeded, and
+    together: none appears unless all of them could be made.  Only a
+    ``decls`` run imports ``declarations``, and only a ``--trace`` run
+    imports ``document``, so no run compiles a module it does not use.
+    The run document is rendered as it goes to its file, by
     ``document.structured_chunks``, so no part of it, neither the O(n^3)
-    matrices nor a deep tree's nested ``dendrogram``, is ever one string.
-    It is rendered once per run: a run that asks for both gives both paths
-    the same chunk iterable, and ``write_texts_atomic`` copies the first
-    file to the second.  A failure while rendering or copying still leaves
-    no output.  The files are in place before the summary is printed, so a
-    failing ``out`` (an InputOutputError) leaves them complete.
+    matrices nor a deep tree's nested ``dendrogram``, is ever one string,
+    and a failure while rendering still leaves no output.  The files are
+    in place before the summary is printed, so a failing ``out`` (an
+    InputOutputError) leaves them complete.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -431,24 +423,15 @@ def execute(config: RunConfig, *, out=None, err=None) -> None:
         if config.report_path is not None:
             report = label_clusters(partition, pattern, schema)
 
-    # Only a trace or a structured dendrogram to write imports the document's
-    # module; the document is rendered once even if both outputs ask for it.
-    structured = None
-    if config.trace_path is not None or (config.dendrogram_path is not None and
-                                         config.dendrogram_format is DendrogramFormat.STRUCTURED):
-        from .document import structured_chunks
-        structured = structured_chunks(dend, trace, schema=schema, pattern=pattern,
-                                       report=report)
     outputs = []
     if config.trace_path is not None:
-        outputs.append((config.trace_path, structured))
+        from .document import structured_chunks
+        outputs.append((config.trace_path, structured_chunks(
+            dend, trace, schema=schema, pattern=pattern, report=report)))
     if config.dendrogram_path is not None:
-        if config.dendrogram_format is DendrogramFormat.ASCII:
-            outputs.append((config.dendrogram_path, dendro.render_ascii(dend)))
-        elif config.dendrogram_format is DendrogramFormat.DOT:
-            outputs.append((config.dendrogram_path, dendro.render_dot(dend)))
-        else:
-            outputs.append((config.dendrogram_path, structured))
+        render = (dendro.render_dot if config.dendrogram_format is DendrogramFormat.DOT
+                  else dendro.render_ascii)
+        outputs.append((config.dendrogram_path, render(dend)))
     if config.report_path is not None:
         outputs.append((config.report_path, canonical_json(report.to_doc())))
     write_texts_atomic(outputs)

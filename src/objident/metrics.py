@@ -48,10 +48,12 @@ def two_decimals(value: Fraction, *, sqrt: bool = False) -> str:
 
 
 def _same_metric_order(compare):
-    """An ordering of ``ExactDissimilarity`` values by ``compare`` of their keys."""
+    """An ordering of ``ExactDissimilarity`` values by ``compare`` of their
+    keys; any other operand is refused, where ``NotImplemented`` would let
+    a plain tuple order by (key, metric)."""
     def method(self, other):
         if not isinstance(other, ExactDissimilarity):
-            return NotImplemented
+            raise TypeError(f"ordering not supported against {type(other).__name__}")
         if other.metric is not self.metric:
             raise ValueError(
                 f"cannot order {self.metric.value} against {other.metric.value}")

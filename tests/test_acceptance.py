@@ -258,7 +258,7 @@ def test_criterion_6_determinism(tmp_path):
         blobs = []
         for attempt in ("one", "two"):
             base = tmp_path / attempt
-            for fmt in ("ascii", "dot", "structured"):
+            for fmt in ("ascii", "dot"):
                 code = main([
                     "cluster", "--input", str(FIXTURE_DIR / "stacks.json"),
                     "--kind", "components", "--policy", "paper",
@@ -271,8 +271,7 @@ def test_criterion_6_determinism(tmp_path):
                 assert code == 0
             blobs.append([
                 (base / name).read_bytes()
-                for name in ("trace.json", "tree.ascii", "tree.dot",
-                             "tree.structured", "report.json")
+                for name in ("trace.json", "tree.ascii", "tree.dot", "report.json")
             ])
         assert blobs[0] == blobs[1]
 

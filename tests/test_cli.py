@@ -46,14 +46,10 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
         code = main(["cluster", "--input", STACKS, "--kind", "components",
                      "--policy", "paper", "--cut", "h:1.0",
                      "--trace", str(base / "t.json"),
-                     "--dendrogram", str(base / "d.json"),
-                     "--format", "structured",
                      "--report", str(base / "r.json")])
         assert code == 0
-        blobs.append([(base / n).read_bytes() for n in ("t.json", "d.json", "r.json")])
+        blobs.append([(base / n).read_bytes() for n in ("t.json", "r.json")])
     assert blobs[0] == blobs[1]
-    # The trace and the structured dendrogram are the same document.
-    assert blobs[0][0] == blobs[0][1]
 
 
 def test_declarations_input(tmp_path, capsys):
@@ -340,8 +336,6 @@ def load_set(tmp_path, argv):
     (DECLS + ["--dendrogram", "tree.txt"], ["objident.declarations"]),
     (["parse", "--decls", STACKS_DECLS, "--out", "stacks.json"], ["objident.declarations"]),
     (COMPONENTS + ["--trace", "trace.json"], ["objident.document"]),
-    (COMPONENTS + ["--dendrogram", "tree.json", "--format", "structured"],
-     ["objident.document"]),
 ])
 def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
     child = load_set(tmp_path, argv)
@@ -349,7 +343,17 @@ def test_each_run_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
     assert child.stdout.splitlines()[-1] == f"0 {sorted(PIPELINE + loaded)}"
 
 
-@pytest.mark.parametrize("tree_format", ["structured", "dot"])
+def test_structured_format_is_a_usage_error(tmp_path):
+    # The run document has one flag, --trace; --format names the merge
+    # tree's format alone.
+    child = load_set(tmp_path, COMPONENTS + ["--dendrogram", "tree.json",
+                                             "--format", "structured"])
+    assert "argument --format: invalid choice: 'structured'" in child.stderr
+    assert child.stdout.splitlines()[-1] == f"2 {START_UP}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tree_format", ["ascii", "dot"])
 def test_format_without_dendrogram_is_config_error(tmp_path, tree_format):
     # Refused before any pipeline module is imported or the input is read.
     child = load_set(tmp_path, COMPONENTS + ["--format", tree_format])

@@ -3,7 +3,6 @@ import enum
 import errno
 import json
 import os
-import shutil
 import stat
 from fractions import Fraction
 
@@ -22,8 +21,6 @@ from objident import (
     parse_cut_spec,
     write_text_atomic,
 )
-from objident import document
-from objident.document import structured_chunks
 from objident.ingest import (
     DendrogramFormat,
     InputKind,
@@ -186,7 +183,8 @@ def test_canonical_json_matches_json_dumps_on_subclasses(doc):
 def test_parse_cut_spec():
     assert parse_cut_spec("k:3") == ("k", 3)
     assert parse_cut_spec("h:1.5") == ("h", Fraction(3, 2))
-    for bad in ("k", "q:3", "k:x", "k:0", "k:-2", "h:tall", "h:-1", "3"):
+    for bad in ("k", "q:3", "k:x", "k:0", "k:-2", "h:tall", "h:-1", "3",
+                "k:1_0", "k: 5", "k:+5", "k:\u0663", "k:" + "1" * 5000):
         with pytest.raises(ConfigError):
             parse_cut_spec(bad)
 
@@ -255,36 +253,12 @@ def test_failed_chunks_leave_no_output_temp_file_or_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_shared_text_is_written_once_and_copied(tmp_path):
-    consumed = []
-
-    def chunks():
-        for chunk in ("one", "two\n"):
-            consumed.append(chunk)
-            yield chunk
-
-    text = chunks()
+def test_a_str_given_for_two_paths_is_written_to_both(tmp_path):
+    text = "one\ntwo\n"
     first, second = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
     write_texts_atomic([(first, text), (tmp_path / "c.txt", "other"), (second, text)])
-    assert consumed == ["one", "two\n"]
-    assert first.read_text() == second.read_text() == "onetwo\n"
+    assert first.read_text() == second.read_text() == text
     assert (tmp_path / "c.txt").read_text() == "other"
-
-
-def test_failed_copy_of_a_shared_text_leaves_no_output(tmp_path, monkeypatch):
-    copies = []
-
-    def no_space(source, target):
-        copies.append(target)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(shutil, "copyfile", no_space)
-    text = iter(["whole\n"])
-    with pytest.raises(InputOutputError, match="No space left"):
-        write_texts_atomic([(tmp_path / "new" / "a.txt", text),
-                            (tmp_path / "other" / "deeper" / "b.txt", text)])
-    assert len(copies) == 1
-    assert list(tmp_path.iterdir()) == []
 
 
 def stacks_config(tmp_path, **kwargs):
@@ -314,29 +288,13 @@ def test_execute_writes_requested_outputs(tmp_path, capsys):
     assert "cut k:2 -> 2 group(s)" in out
 
 
-def test_execute_dot_and_structured_formats(tmp_path):
-    for fmt, probe in ((DendrogramFormat.DOT, "digraph dendrogram"),
-                       (DendrogramFormat.STRUCTURED, '"rounds"')):
+def test_execute_ascii_and_dot_formats(tmp_path):
+    for fmt, probe in ((DendrogramFormat.ASCII, "C7  2.00"),
+                       (DendrogramFormat.DOT, "digraph dendrogram")):
         path = tmp_path / f"tree.{fmt.value}"
         execute(stacks_config(tmp_path, dendrogram_path=path,
                               dendrogram_format=fmt))
         assert probe in path.read_text()
-
-
-def test_execute_renders_the_structured_document_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)  # on the first chunk read: a render has started
-        yield from structured_chunks(*args, **kwargs)
-
-    monkeypatch.setattr(document, "structured_chunks", counted)
-    trace, tree = tmp_path / "trace.json", tmp_path / "tree.json"
-    execute(stacks_config(tmp_path, cut=("k", 2), trace_path=trace, dendrogram_path=tree,
-                          dendrogram_format=DendrogramFormat.STRUCTURED))
-    assert len(calls) == 1
-    assert trace.read_bytes() == tree.read_bytes()
-    assert json.loads(trace.read_text())["rounds"][-1]["round"] == 4
 
 
 def test_execute_warns_when_declarations_lack_uses(tmp_path, capsys):

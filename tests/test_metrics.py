@@ -178,9 +178,15 @@ def test_ordering_is_exact_and_same_metric_only():
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(ValueError, match="cannot order smc against euclidean"):
             compare(small, other)
-        # Against a number the ordering is not defined, as for any object.
-        with pytest.raises(TypeError, match="not supported"):
-            compare(small, 1)
+        # Against a number or a plain tuple, even one with the same fields,
+        # the ordering is not defined, in either operand order.
+        for plain in (1, (1,), (Fraction(1, 3), Metric.SIMPLE_MATCHING),
+                      (Fraction(1, 3), Metric.JACCARD)):
+            for left, right in ((small, plain), (plain, small)):
+                with pytest.raises(TypeError, match="not supported"):
+                    compare(left, right)
+    # Equality is still the tuple's.
+    assert small == (Fraction(1, 3), Metric.SIMPLE_MATCHING)
 
 
 def test_metric_from_name():
