@@ -118,10 +118,14 @@ def _parse_height(h, error=ValidationError) -> Fraction:
     or a ``Decimal`` is bounded before its power of ten is built, so are a
     ``Decimal``'s digits, and then their numerator and denominator, so that
     a run's summary can print them.  NaN, infinities and a text with a
-    ``_``, which ``Fraction`` reads only from Python 3.11 on, are refused."""
+    ``_``, which ``Fraction`` reads only from Python 3.11 on, are refused,
+    and so is a text with a character that ``parse_cut_spec``'s ``k:``
+    refuses and ``Fraction`` reads: a non-ASCII one (a Unicode digit),
+    whitespace or a leading ``+``."""
     text, decimal = isinstance(h, str), isinstance(h, Decimal)
     try:
-        if text and ("_" in h or "e" in h.lower()
+        if text and (not h.isascii() or h.split() != [h] or h.startswith("+") or "_" in h
+                     or "e" in h.lower()
                      and abs(int(h.lower().rpartition("e")[2])) > _DIGIT_LIMIT):
             raise ValueError
         if decimal:

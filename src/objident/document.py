@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 
@@ -66,23 +67,32 @@ def _key_text(key: Fraction, depth: int) -> str:
     return _dict_text((("num", str(key.numerator)), ("den", str(key.denominator))), depth)
 
 
-def _matrix_text(labels: str, display_rows: list[list[str]],
-                 key_rows: list[list[str]]) -> Iterator[str]:
-    """The text of a round's ``matrix`` in ``to_structured``, a chunk
-    per row of cells.  ``labels`` is the text of its ``labels``, and
-    ``display_rows`` and ``key_rows`` hold, for each active cluster, the
-    texts of its row of cells at their depth, 6."""
-    yield '{%s"labels": %s,%s"display_values": ' % (_INDENT[4], labels, _INDENT[4])
-    for rows, after in ((display_rows, ',%s"exact_keys": ' % _INDENT[4]),
-                        (key_rows, _INDENT[3] + "}")):
-        if len(rows) < 2:
-            yield "[]" + after
-            continue
-        sep, opener = "," + _INDENT[6], "[" + _INDENT[5] + "[" + _INDENT[6]
-        for row in rows[1:]:
-            yield opener + sep.join(row)
-            opener = _INDENT[5] + "]," + _INDENT[5] + "[" + _INDENT[6]
-        yield _INDENT[5] + "]" + _INDENT[4] + "]" + after
+# A view's rows of cells: the text before its first row, between two rows,
+# and after its last row, and the separator of two cells of a row.
+_ROWS_OPEN = "[" + _INDENT[5] + "[" + _INDENT[6]
+_ROWS_BETWEEN = _INDENT[5] + "]," + _INDENT[5] + "[" + _INDENT[6]
+_ROWS_CLOSE = _INDENT[5] + "]" + _INDENT[4] + "]"
+_CELL_SEP = "," + _INDENT[6]
+# The most cells in a chunk of rows, unless one row holds more.
+_CHUNK_CELLS = 512
+
+
+def _rows_text(rows: list[list[str]], after: str) -> Iterable[str]:
+    """The text of a round's ``display_values`` or ``exact_keys``, then
+    ``after``, in chunks of a few rows.  ``rows`` holds, for each active
+    cluster, the texts of its row of cells at their depth, 6.  A chunk is
+    made by ``map``s of joins, with no Python step per row, and holds at
+    most ``_CHUNK_CELLS`` cells or one row: the writer gets few texts, none
+    of them large, and each row's join is copied once, into its chunk."""
+    if len(rows) < 2:
+        return ("[]" + after,)
+    # Row p holds p < len(rows) cells.
+    step = _CHUNK_CELLS // len(rows) or 1
+    chunks = map(_ROWS_BETWEEN.join, (map(_CELL_SEP.join, rows[i:i + step])
+                                      for i in range(1, len(rows), step)))
+    return chain((_ROWS_OPEN, next(chunks)),
+                 chain.from_iterable(zip(repeat(_ROWS_BETWEEN), chunks)),
+                 (_ROWS_CLOSE + after,))
 
 
 def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
@@ -127,32 +137,42 @@ def to_structured(d: Dendrogram, trace: Sequence["MergeRound"], *,
 
 
 def _rounds_text(trace: Sequence["MergeRound"]) -> Iterator[str]:
-    """The text of a non-empty ``rounds`` at depth 1, a chunk per row of cells.
+    """The text of a non-empty ``rounds`` at depth 1, in chunks.
 
     The rows of cell texts are the two tables of ``engine.walk_rounds``,
     whose views give each distinct distance its display text and its
-    ``{num, den}`` text once.  Each round's head and ``labels`` are
-    formatted from the text of each label, made once by json's string
-    encoder."""
+    ``{num, den}`` text once; ``_rows_text`` joins them into chunks of a
+    few rows through C iterators, and ``chain`` passes the chunks on, so
+    no Python frame runs per row.  Each round's head and ``labels`` are one
+    chunk, formatted from the text of each label, made once by json's
+    string encoder."""
     label = _Memo(encode_basestring)
     rounds = walk_rounds(trace, lambda e: encode_basestring(e.display),
                          lambda e: _key_text(e.key, 6))
-    for index, (r, active, (display_rows, key_rows)) in enumerate(rounds):
-        merges = [_dict_text((("label", label[m.new.label]),
-                              ("member_labels", _list_text(
-                                  [label[c.label] for c in m.constituents], 5))), 4)
-                  for m in r.merges]
-        # The round's own text less its closing brace, which follows its matrix.
-        head = _dict_text((("round", str(r.round_index)),
-                           ("min_display", encode_basestring(r.min_key.display)),
-                           ("min_key", _key_text(r.min_key.key, 3)),
-                           ("merges", _list_text(merges, 3)),
-                           ("matrix", "")), 2)
-        yield ("," if index else "[") + _INDENT[2] + head[:-len(_INDENT[2]) - 1]
-        yield from _matrix_text(_list_text([label[c.label] for c in active], 4),
-                                display_rows, key_rows)
-        yield _INDENT[2] + "}"
-    yield _INDENT[1] + "]"
+
+    def parts() -> Iterator[Iterable[str]]:
+        for index, (r, active, (display_rows, key_rows)) in enumerate(rounds):
+            merges = [_dict_text((("label", label[m.new.label]),
+                                  ("member_labels", _list_text(
+                                      [label[c.label] for c in m.constituents], 5))), 4)
+                      for m in r.merges]
+            # The round's own text up to its matrix's first view.
+            head = _dict_text((("round", str(r.round_index)),
+                               ("min_display", encode_basestring(r.min_key.display)),
+                               ("min_key", _key_text(r.min_key.key, 3)),
+                               ("merges", _list_text(merges, 3)),
+                               ("matrix", "")), 2)
+            labels = _list_text([label[c.label] for c in active], 4)
+            yield ((("," if index else "[") + _INDENT[2] + head[:-len(_INDENT[2]) - 1]
+                    + '{%s"labels": %s,%s"display_values": ' % (_INDENT[4], labels, _INDENT[4])),)
+            yield _rows_text(display_rows, ',%s"exact_keys": ' % _INDENT[4])
+            yield _rows_text(key_rows, _INDENT[3] + "}" + _INDENT[2] + "}")
+        yield (_INDENT[1] + "]",)
+
+    # The walk changes its tables in place when it moves to the next
+    # round, so each lazy map over them must be used up first: chain takes
+    # the next part from ``parts`` only once the last one is exhausted.
+    return chain.from_iterable(parts())
 
 
 def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
@@ -164,20 +184,25 @@ def structured_chunks(d: Dendrogram, trace: Sequence["MergeRound"], *,
     ``to_structured`` with no rounds, so no section is ever one string:
     the nested ``dendrogram`` is rendered a node at a time.  No round is
     built as a document: its head and ``labels`` are formatted from texts
-    of json's string encoder, one per label, and each row of
-    ``display_values`` and of ``exact_keys`` is one join of cell texts,
-    made once per distinct distance, and is one chunk.  The snapshots come
-    from the tables of cell texts of the engine's ``walk_rounds``, never
-    from ``MergeRound.matrix_after``: a cluster's rows of cell texts are
-    looked up once, when it is new, and then follow the merges, so a
-    sequential run's O(n^3) snapshots cost O(n^2) lookups and O(n^3)
-    joins.  They are rendered a row at a time and never held whole; the
-    tables take two pointers per cell of the current round's matrix.
+    of json's string encoder, one per label, and the rows of
+    ``display_values`` and of ``exact_keys`` are joins of cell texts, made
+    once per distinct distance, in chunks of at most ``_CHUNK_CELLS`` cells
+    or one row.  The snapshots come from the tables of cell texts of the
+    engine's ``walk_rounds``, never from ``MergeRound.matrix_after``: a
+    cluster's rows of cell texts are looked up once, when it is new, and
+    then follow the merges, so a sequential run's O(n^3) snapshots cost
+    O(n^2) lookups and O(n^3) joined cells.  They are rendered a chunk at a
+    time and never held whole; the tables take two pointers per cell of
+    the current round's matrix.  The chunks pass through C iterators
+    (``map`` and ``chain``), so no Python frame runs per row of cells.
     """
-    head = "{"
-    for key, value in to_structured(d, (), schema=schema, pattern=pattern,
-                                    report=report).items():
-        yield '%s%s"%s": ' % (head, _INDENT[1], key)
-        head = ","
-        yield from _rounds_text(trace) if key == "rounds" and trace else json_chunks(value, 1)
-    yield "\n}\n"
+    def sections() -> Iterator[Iterable[str]]:
+        head = "{"
+        for key, value in to_structured(d, (), schema=schema, pattern=pattern,
+                                        report=report).items():
+            yield ('%s%s"%s": ' % (head, _INDENT[1], key),)
+            head = ","
+            yield _rounds_text(trace) if key == "rounds" and trace else json_chunks(value, 1)
+        yield ("\n}\n",)
+
+    return chain.from_iterable(sections())

@@ -44,9 +44,12 @@ def json_chunks(doc, depth: int = 0) -> Iterator[str]:
 
     Written with an explicit stack, so nesting depth is not limited by the
     interpreter's recursion limit, and a container is rendered an item at a
-    time, so its text is never held whole.  Each scalar, key, empty
-    container and container that holds no non-empty container is one text
-    from json's encoder.  The document must not change during the call.
+    time, so its text is never held whole.  A value whose type is exactly
+    ``str`` or ``int`` is written by json's string encoder or
+    ``int.__repr__``, as json writes it; every other scalar, and each key,
+    empty container and container that holds no non-empty container, is
+    one text from json's encoder.  The document must not change during
+    the call.
     """
     open_ids: set[int] = set()
     # Frames: [items iterator, is a dict, the container, whether an item has
@@ -58,6 +61,12 @@ def json_chunks(doc, depth: int = 0) -> Iterator[str]:
     def start(value, level: int) -> str:
         """The text of ``value`` at ``level`` if json's encoder gives it in
         one step; else its opening bracket, with a frame pushed for its items."""
+        # What json's encoder writes for them, without a call to it;
+        # subclasses, bools among them, take the encoder's path.
+        if type(value) is str:
+            return _encode_str(value)
+        if type(value) is int:
+            return int.__repr__(value)
         if not isinstance(value, _CONTAINERS) or not value:
             return _encode(value)
         is_dict = isinstance(value, dict)

@@ -95,11 +95,13 @@ def test_bad_cut_spec_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
-                                    "1_0", "1e1_0"])
+                                    "1_0", "1e1_0", "\u0661.\u0665", " 1.5", "1.5 ",
+                                    "+1.5", "1 / 2"])
 def test_unusable_cut_height_is_config_error_at_once(tmp_path, capsys, height):
     # An exponent is bounded before its power of ten is built, a height the
     # summary could not print (10**4300 has 4,301 digits) is refused, and so
-    # is a "_", which Fraction reads only from Python 3.11 on.
+    # is a "_", which Fraction reads only from Python 3.11 on, and a Unicode
+    # digit, whitespace or a leading "+", which k: refuses too.
     start = time.perf_counter()
     code = main(cluster_args(tmp_path, "--cut", f"h:{height}"))
     assert time.perf_counter() - start < 1

@@ -32,6 +32,7 @@ from objident.metrics import ExactDissimilarity
 from conftest import FIXTURE_DIR
 from test_engine import make_pattern, uses_schema
 from test_golden import INPUT_DIR
+from test_reference_net import SHAPES
 
 REF_GROUP = frozenset({"initRef", "isEmptyRef", "rPush", "rPop", "traRef"})
 EXEC_GROUP = frozenset({"initExec", "isEmptyExec", "ePush", "ePop", "traExec"})
@@ -127,7 +128,8 @@ def test_cut_height_rejects_bad_input(stacks_tree):
 @pytest.mark.parametrize("height", ["1/0", "1e999999999", "1e-999999999", "1e4300",
                                     float("inf"), float("nan"), Decimal("1e99999999"),
                                     Decimal("1e-99999999"), Decimal("NaN"),
-                                    Decimal("Infinity"), "1_0", "1e1_0"])
+                                    Decimal("Infinity"), "1_0", "1e1_0", "\u0661.\u0665",
+                                    " 1.5", "1.5\n", "\t1", "+1.5", "+0", "1 / 2"])
 def test_cut_height_refuses_unusable_heights_at_once(stacks_tree, height):
     start = time.perf_counter()
     with pytest.raises(ValidationError, match="invalid cut height"):
@@ -290,6 +292,20 @@ def test_structured_text_matches_per_cell_reference(path):
             text = reference_text(dend, trace, doc)
             assert canonical_json(doc) == text
             assert "".join(structured_chunks(dend, trace, **sections)) == text
+
+
+@pytest.mark.parametrize("shape, n", [("star", 45), ("chain", 30), ("identical", 60),
+                                      ("all-zero", 40), ("dups", 50)])
+def test_structured_text_matches_per_cell_reference_on_tie_heavy_shapes(shape, n):
+    # Multiway rounds at 0, rounds that leave a one-row or an empty matrix,
+    # and a run of rounds at one distance.
+    pattern = SHAPES[shape](n)
+    for metric in Metric:
+        for policy in MergePolicy:
+            dend, trace = cluster(pattern, metric, policy=policy)
+            doc = to_structured(dend, trace, pattern=pattern)
+            text = "".join(structured_chunks(dend, trace, pattern=pattern))
+            assert text == reference_text(dend, trace, doc)
 
 
 # Names that need each kind of JSON escape, and some that need none but

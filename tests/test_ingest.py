@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
 
 import pytest
@@ -175,18 +176,55 @@ Point = collections.namedtuple("Point", "x y")
     {Name("k"): Name("v"), "nested": {Name("k"): [Name("v")]}},
     [1, Point(2, 3), [Point(4, [5])]],
     collections.OrderedDict(a=Point(1, 2), b=collections.OrderedDict(c=[Point(3, 4)])),
+    # Scalars that are not exactly a str or an int, and str and int scalars
+    # that need escapes, alone and as items beside a container.
+    True,
+    False,
+    [True, 1, False, 0, [True]],
+    {"t": True, "f": False, "n": None, "i": Colour.RED, "list": [False]},
+    Name("\x00\x1f\u2028"),
+    [Name("\t"), "\x7f", [Name("caf\u00e9")]],
+    "caf\u00e9 \U0001F600 \u2028",
+    "ctrl \x00\x01\x1f\b\f\n\r\t \\ \"",
+    ["\u00e9", -1, ["\x1f", 10 ** 40], {"\u00e9\n": "\x00"}],
 ])
 def test_canonical_json_matches_json_dumps_on_subclasses(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def dumped(dump, doc):
+    """``dump(doc)``, or the ``ValueError`` it raises, as text."""
+    try:
+        return dump(doc)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [v, [1]], lambda v: {"k": v, "l": [1]}],
+                         ids=["alone", "in-list", "in-dict"])
+def test_canonical_json_refuses_an_int_past_the_digit_limit_like_json(wrap):
+    doc = wrap(10 ** 4400)
+    got = dumped(canonical_json, doc)
+    assert got == dumped(lambda d: json.dumps(d, indent=2, ensure_ascii=False) + "\n", doc)
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert got.startswith("ValueError: Exceeds the limit (4300 digits)")
+
+
 def test_parse_cut_spec():
     assert parse_cut_spec("k:3") == ("k", 3)
     assert parse_cut_spec("h:1.5") == ("h", Fraction(3, 2))
+    assert parse_cut_spec("h:1/2") == ("h", Fraction(1, 2))
+    assert parse_cut_spec("h:1e5") == ("h", Fraction(100000))
+    assert parse_cut_spec("h:1.0") == ("h", Fraction(1))
     for bad in ("k", "q:3", "k:x", "k:0", "k:-2", "h:tall", "h:-1", "3",
                 "k:1_0", "k: 5", "k:+5", "k:\u0663", "k:" + "1" * 5000):
         with pytest.raises(ConfigError):
             parse_cut_spec(bad)
+    for bad in ("h:\u0661.\u0665", "h: 1.5", "h:1.5\t", "h:+1.5", "h:1 /2"):
+        with pytest.raises(ConfigError, match="invalid cut height"):
+            parse_cut_spec(bad)
+    with pytest.raises(ConfigError, match="cut height must be >= 0"):
+        parse_cut_spec("h:-1")
 
 
 def test_report_requires_cut(tmp_path):
